@@ -167,20 +167,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return _make(np.hstack([a.data, b.data]), (a, b), backward)
 
 
-def softmax_rows(logits: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by row-max subtraction."""
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        if logits.requires_grad:
-            dot = (g * p).sum(axis=1, keepdims=True)
-            logits._accumulate(p * (g - dot))
-
-    return _make(p, (logits,), backward)
-
-
 def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:
     """Mean over rows of -log softmax(logits)[i, targets[i]], in nats.
 
@@ -231,11 +217,10 @@ def max_pool_prefix(x: Tensor) -> Tensor:
         raise ShapeMismatchError("max_pool_prefix: empty matrix")
     n, c = x.shape
     out_data = np.maximum.accumulate(x.data, axis=0)
-    argmax = np.zeros((n, c), dtype=np.int64)
-    best = np.zeros(c, dtype=np.int64)
-    for i in range(1, n):
-        best = np.where(x.data[i] > out_data[i - 1], i, best)
-        argmax[i] = best
+    # latest row where the running max strictly rose, so ties keep the earliest row
+    rises = np.ones((n, c), dtype=bool)
+    rises[1:] = x.data[1:] > out_data[:-1]
+    argmax = np.maximum.accumulate(np.where(rises, np.arange(n)[:, None], 0), axis=0)
 
     def backward(g):
         if x.requires_grad:
@@ -333,8 +318,6 @@ def backward(loss: Tensor) -> None:
 
 # ---------------------------------------------------------------------------
 # parameters and optimizer
-
-ParameterSet = dict  # name -> Tensor, insertion-ordered
 
 
 def collect_gradients(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

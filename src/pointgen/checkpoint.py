@@ -44,7 +44,6 @@ def save_checkpoint(path, model: Model, state: AdamState, step: int) -> None:
         "config": model.config.to_dict(),
         "step": step,
         "adam_t": state.t,
-        "rng": {"kind": "step-counter", "seed": model.config.seed, "step": step},
         "tensors": table,
     }).encode("utf-8")
 
@@ -60,6 +59,8 @@ def save_checkpoint(path, model: Model, state: AdamState, step: int) -> None:
 def load_checkpoint(path) -> tuple[Model, AdamState, int]:
     with open(path, "rb") as fh:
         blob = fh.read()
+    if len(blob) < 16:
+        raise CheckpointError(f"{path}: truncated preamble ({len(blob)} bytes)")
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
     (version,) = struct.unpack_from("<I", blob, 4)
@@ -67,6 +68,8 @@ def load_checkpoint(path) -> tuple[Model, AdamState, int]:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (header_len,) = struct.unpack_from("<Q", blob, 8)
     header_end = 16 + header_len
+    if header_end > len(blob):
+        raise CheckpointError(f"{path}: header length {header_len} exceeds the file")
     try:
         header = json.loads(blob[16:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -91,9 +94,9 @@ def load_checkpoint(path) -> tuple[Model, AdamState, int]:
         if kind == "param":
             params[pname] = Tensor(arr, requires_grad=True)
         elif kind == "adam_m":
-            m[pname] = arr.copy()
+            m[pname] = arr
         elif kind == "adam_v":
-            v[pname] = arr.copy()
+            v[pname] = arr
         else:
             raise CheckpointError(f"{path}: unknown tensor kind {kind!r}")
     missing = set(params) - set(m) or set(params) - set(v)

@@ -15,7 +15,7 @@ from . import evaluate, sampler
 from .autodiff import AdamState
 from .config import RunConfig, parse_config
 from .data import Dataset
-from .errors import ConfigError, InputError, ParseError
+from .errors import CheckpointError, ConfigError, InputError, ParseError
 from .model import Model, ModelConfig
 
 
@@ -138,10 +138,14 @@ def cmd_train(args) -> int:
 
     os.makedirs(cfg.out, exist_ok=True)
     loss_path = os.path.join(cfg.out, "loss.csv")
-    new_log = not os.path.exists(loss_path)
-    with open(loss_path, "a", encoding="utf-8", newline="\n") as log:
-        if new_log:
-            log.write("step,nats,bits_per_coord\n")
+    rows = ["step,nats,bits_per_coord\n"]
+    if args.checkpoint and os.path.exists(loss_path):
+        # a resume keeps the complete rows up to its step; a fresh run starts a new log
+        with open(loss_path, "r", encoding="utf-8") as old:
+            rows += [row for row in old.readlines()[1:] if row.endswith("\n")
+                     and row.split(",")[0].isdecimal() and int(row.split(",")[0]) <= start_step]
+    with open(loss_path, "w", encoding="utf-8", newline="\n") as log:
+        log.writelines(rows)
         for step in range(start_step, start_step + cfg.steps):
             idx = _batch_indices(step, cfg.batch_size, len(dataset.clouds))
             batch = [dataset.clouds[i] for i in idx]
@@ -149,6 +153,7 @@ def cmd_train(args) -> int:
             nats, bits = model.train_step(state, batch, cfg.lr, conds)
             log.write(f"{step + 1},{nats:.9f},{bits:.9f}\n")
             if (step + 1) % cfg.checkpoint_interval == 0:
+                log.flush()  # a checkpoint never gets ahead of the rows a resume keeps
                 ckpt.save_checkpoint(
                     os.path.join(cfg.out, f"ckpt_{step + 1:06d}.pgrw"),
                     model, state, step + 1,
@@ -167,24 +172,14 @@ def _write_cloud(quantized, out_prefix) -> None:
 def cmd_generate(args) -> int:
     model, _, _ = ckpt.load_checkpoint(args.checkpoint)
     cond = _condition_from_args(args, model)
-    settings = sampler.SamplerSettings(
-        n=args.points, seed=args.seed, temperature=args.temperature, condition=cond
-    )
-    cloud = sampler.generate(model, settings)
-    _write_cloud(cloud, args.out)
-    return 0
-
-
-def cmd_complete(args) -> int:
-    model, _, _ = ckpt.load_checkpoint(args.checkpoint)
-    cond = _condition_from_args(args, model)
-    prefix_pts = pcd.load_xyz(args.prefix)
-    prefix = pcd.quantize(prefix_pts, model.config.bins)
+    prefix = None
+    if getattr(args, "prefix", None):
+        prefix = pcd.quantize(pcd.load_xyz(args.prefix), model.config.bins)
     settings = sampler.SamplerSettings(
         n=args.points, seed=args.seed, temperature=args.temperature,
         condition=cond, prefix=prefix,
     )
-    cloud = sampler.complete(model, settings)
+    cloud = sampler.generate(model, settings)
     _write_cloud(cloud, args.out)
     return 0
 
@@ -259,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--out", required=True)
     _add_condition_flags(p)
-    p.set_defaults(func=cmd_complete)
+    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("eval", help="print dataset bits per coordinate")
     p.add_argument("--checkpoint", required=True)
@@ -283,7 +278,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InputError, ParseError) as exc:
+    except (CheckpointError, ConfigError, InputError, ParseError) as exc:
         print(f"pointgen: {exc}", file=sys.stderr)
         return 2
 

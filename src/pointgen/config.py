@@ -28,16 +28,14 @@ class RunConfig:
     dataset: str = ""
     conditions: str = ""
     out: str = "."
-    points: int = 256
-    temperature: float = 1.0
 
     def __post_init__(self):
         for key in ("bins", "features", "batch_size", "steps",
-                    "checkpoint_interval", "points"):
+                    "checkpoint_interval"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
-        if self.lr <= 0 or self.temperature <= 0:
-            raise ConfigError("lr and temperature must be positive")
+        if self.lr <= 0:
+            raise ConfigError("lr must be positive")
         if self.condition_dim < 0:
             raise ConfigError("condition_dim must be >= 0")
         try:
@@ -56,11 +54,12 @@ def _int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in raw.split(","))
 
 
+# keyed by annotation string: field types stay strings under future annotations
 _PARSERS = {
-    int: int,
-    float: float,
-    str: str,
-    tuple[int, ...]: _int_tuple,
+    "int": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": _int_tuple,
 }
 
 
@@ -80,13 +79,9 @@ def parse_config(path) -> RunConfig:
             raw = raw.strip()
             if key not in spec:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            ftype = spec[key]
-            if isinstance(ftype, str):  # evaluated lazily under future annotations
-                ftype = {"int": int, "float": float, "str": str,
-                         "tuple[int, ...]": tuple[int, ...]}[ftype]
             try:
-                values[key] = _PARSERS[ftype](raw)
-            except (ValueError, KeyError):
+                values[key] = _PARSERS[spec[key]](raw)
+            except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}")
     try:
         return RunConfig(**values)

@@ -34,11 +34,6 @@ class ContextOpKind(enum.Enum):
 MlpFn = Callable[[Tensor], Tensor]  # (rows, 2f) -> (rows, f)
 
 
-def shift_context(c: Tensor) -> Tensor:
-    """Insert a zero row at the top and drop the last row."""
-    return ad.shift_down(c)
-
-
 def saca_a(features: Tensor, mlp: MlpFn) -> Tensor:
     """Per-row attention weights from each row's own prefix mean.
 
@@ -51,7 +46,7 @@ def saca_a(features: Tensor, mlp: MlpFn) -> Tensor:
         raise ShapeMismatchError(
             f"attention mlp output width {weights.cols} != feature width {features.cols}"
         )
-    return shift_context(ad.cumsum_rows(ad.elementwise_mul(features, weights)))
+    return ad.shift_down(ad.cumsum_rows(ad.elementwise_mul(features, weights)))
 
 
 def saca_b(features: Tensor, mlp: MlpFn) -> Tensor:
@@ -73,7 +68,7 @@ def saca_b(features: Tensor, mlp: MlpFn) -> Tensor:
             f"attention mlp output width {weights.cols} != feature width {features.cols}"
         )
     weighted = ad.elementwise_mul(f_pairs, weights)
-    return shift_context(ad.segment_sum_rows(weighted, i_idx, n))
+    return ad.shift_down(ad.segment_sum_rows(weighted, i_idx, n))
 
 
 def apply_context(kind: ContextOpKind, features: Tensor, mlp: MlpFn | None = None) -> Tensor:
@@ -83,5 +78,5 @@ def apply_context(kind: ContextOpKind, features: Tensor, mlp: MlpFn | None = Non
             raise ConfigError(f"{kind.value} requires an attention mlp")
         return saca_a(features, mlp) if kind is ContextOpKind.SACA_A else saca_b(features, mlp)
     if kind is ContextOpKind.CA_MEAN:
-        return shift_context(ad.mean_pool_prefix(features))
-    return shift_context(ad.max_pool_prefix(features))
+        return ad.shift_down(ad.mean_pool_prefix(features))
+    return ad.shift_down(ad.max_pool_prefix(features))

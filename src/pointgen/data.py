@@ -42,10 +42,7 @@ class QuantizedPointCloud:
         return self.bins.shape[0]
 
     def is_sorted_zyx(self) -> bool:
-        keys = self.bins[:, ::-1]  # (z, y, x)
-        return all(
-            tuple(keys[i]) <= tuple(keys[i + 1]) for i in range(self.n - 1)
-        )
+        return np.array_equal(self.bins, sort_zyx(self.bins))
 
 
 @dataclass
@@ -76,7 +73,6 @@ class Dataset:
 
     clouds: list[QuantizedPointCloud]
     conditions: np.ndarray | None = None  # (k, d) float64, row per cloud
-    split: str = "train"
 
     def __post_init__(self):
         if self.clouds:

@@ -81,18 +81,6 @@ class ModelConfig:
 
 
 @dataclass
-class BranchLogits:
-    """Per-branch (n, bins) logit tensors."""
-
-    z: Tensor
-    y: Tensor
-    x: Tensor
-
-    def for_branch(self, branch: str) -> Tensor:
-        return getattr(self, branch)
-
-
-@dataclass
 class NllResult:
     loss: Tensor  # 1x1, mean nats per coordinate (training objective)
     total_nats: float  # summed over 3n coordinates
@@ -215,8 +203,9 @@ class Model:
         q: QuantizedPointCloud,
         condition=None,
         intermediates: dict | None = None,
-    ) -> BranchLogits:
-        """Score every point's three coordinate distributions in one pass.
+    ) -> dict[str, Tensor]:
+        """Score every point's three coordinate distributions in one pass:
+        (n, bins) logits per branch, keyed "z", "y", "x".
 
         When `intermediates` is a dict it receives, per branch, the
         pre-context point features, the shifted context matrix, and each
@@ -248,14 +237,14 @@ class Model:
                     "context": context,
                     "activations": acts,
                 }
-        return BranchLogits(**out)
+        return out
 
-    def nll_loss(self, logits: BranchLogits, q: QuantizedPointCloud) -> NllResult:
+    def nll_loss(self, logits: dict[str, Tensor], q: QuantizedPointCloud) -> NllResult:
         """Mean nats per coordinate, total nats, and bits per coordinate."""
         ce = [
-            ad.cross_entropy_from_logits(logits.z, q.bins[:, 2]),
-            ad.cross_entropy_from_logits(logits.y, q.bins[:, 1]),
-            ad.cross_entropy_from_logits(logits.x, q.bins[:, 0]),
+            ad.cross_entropy_from_logits(logits["z"], q.bins[:, 2]),
+            ad.cross_entropy_from_logits(logits["y"], q.bins[:, 1]),
+            ad.cross_entropy_from_logits(logits["x"], q.bins[:, 0]),
         ]
         loss = ad.scale(ad.add(ad.add(ce[0], ce[1]), ce[2]), 1.0 / 3.0)
         mean_nats = loss.item()

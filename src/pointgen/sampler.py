@@ -77,7 +77,7 @@ def generate(model: Model, settings: SamplerSettings) -> QuantizedPointCloud:
     for i in range(start, settings.n):
         for branch in ("z", "y", "x"):
             partial = QuantizedPointCloud(bins[: i + 1].copy(), cfg.bins)
-            logits = model.forward(partial, settings.condition).for_branch(branch)
+            logits = model.forward(partial, settings.condition)[branch]
             probs = softmax_with_temperature(logits.data[i], settings.temperature)
             bins[i, _BRANCH_COLUMN[branch]] = sample_bin(probs, rng)
     return QuantizedPointCloud(bins, cfg.bins)

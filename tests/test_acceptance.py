@@ -84,18 +84,18 @@ def test_criterion_2_causality_suite():
         out = model.forward(QuantizedPointCloud(bins, 16))
         for branch in ("z", "y", "x"):
             ok &= np.array_equal(
-                out.for_branch(branch).data[:j], base.for_branch(branch).data[:j]
+                out[branch].data[:j], base[branch].data[:j]
             )
         # within point i: z-row blind to (y_i, x_i), y-row blind to x_i
         i = int(rng.integers(0, 8))
         bins = q.bins.copy()
         bins[i, 0] = (bins[i, 0] + 7) % 16
         out = model.forward(QuantizedPointCloud(bins, 16))
-        ok &= np.array_equal(out.z.data[i], base.z.data[i])
-        ok &= np.array_equal(out.y.data[i], base.y.data[i])
+        ok &= np.array_equal(out["z"].data[i], base["z"].data[i])
+        ok &= np.array_equal(out["y"].data[i], base["y"].data[i])
         bins[i, 1] = (bins[i, 1] + 5) % 16
         out = model.forward(QuantizedPointCloud(bins, 16))
-        ok &= np.array_equal(out.z.data[i], base.z.data[i])
+        ok &= np.array_equal(out["z"].data[i], base["z"].data[i])
     report(2, "logit rows exactly invariant to later and not-yet-seen coordinates", ok)
 
 
@@ -110,7 +110,7 @@ def test_criterion_3_factorization_identity():
         total = model.nll_loss(logits, q).total_nats
         product = 1.0
         for branch, col in (("z", 2), ("y", 1), ("x", 0)):
-            raw = logits.for_branch(branch).data
+            raw = logits[branch].data
             e = np.exp(raw - raw.max(axis=1, keepdims=True))
             probs = e / e.sum(axis=1, keepdims=True)
             product *= np.prod(probs[np.arange(q.n), q.bins[:, col]])
@@ -243,7 +243,7 @@ def test_criterion_7_conditional_identity():
     with_zero_h = cond.forward(q, np.zeros(4))
     plain = uncond.forward(q)
     ok = all(
-        np.array_equal(with_zero_h.for_branch(b).data, plain.for_branch(b).data)
+        np.array_equal(with_zero_h[b].data, plain[b].data)
         for b in ("z", "y", "x")
     )
     for name, p in cond.params.items():
@@ -251,7 +251,7 @@ def test_criterion_7_conditional_identity():
             p.data = np.zeros_like(p.data)
     arbitrary = cond.forward(q, np.array([2.0, -3.0, 0.5, 9.0]))
     ok &= all(
-        np.array_equal(arbitrary.for_branch(b).data, plain.for_branch(b).data)
+        np.array_equal(arbitrary[b].data, plain[b].data)
         for b in ("z", "y", "x")
     )
     report(7, "h=0 and H=0 both reproduce unconditional logits bit-for-bit", ok)

@@ -105,33 +105,7 @@ def test_elementwise_mul():
 
 
 # ---------------------------------------------------------------------------
-# softmax / cross entropy
-
-
-def test_softmax_uniform():
-    out = ad.softmax_rows(t(np.zeros((1, 4))))
-    assert np.allclose(out.data, 0.25, atol=1e-12)
-
-
-def test_softmax_one_hot_limit():
-    row = np.zeros((1, 5))
-    row[0, 2] = 1000.0
-    out = ad.softmax_rows(t(row))
-    assert out.data[0, 2] >= 1.0 - 1e-12
-
-
-def test_softmax_log_ratios():
-    out = ad.softmax_rows(t([[math.log(1), math.log(2), math.log(3)]]))
-    assert np.allclose(out.data, [[1 / 6, 2 / 6, 3 / 6]], atol=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(arrays(np.float64, (3, 5), elements=st.floats(-50, 50)))
-def test_softmax_rows_sum_to_one(logits):
-    out = ad.softmax_rows(ad.constant(logits))
-    assert np.all(np.abs(out.data.sum(axis=1) - 1.0) <= 1e-9)
-    shifted = ad.softmax_rows(ad.constant(logits + 3.25)).data
-    assert np.all(np.abs(shifted - out.data) < 1e-12)
+# cross entropy
 
 
 def test_cross_entropy_uniform_is_log_width():
@@ -178,13 +152,41 @@ def _loss_through(op):
         lambda x: ad.elementwise_mul(x, x),
         lambda x: ad.matmul(x, ad.constant(np.linspace(-1, 1, 16).reshape(4, 4))),
         lambda x: ad.gather_rows(x, [2, 0, 1, 1, 3]),
-        lambda x: ad.softmax_rows(x),
     ],
 )
 def test_op_gradients_fd(op):
     rng = np.random.default_rng(7)
     x0 = rng.normal(size=(4, 4)) + 0.05  # keep relu away from its kink
     fd_input_check(_loss_through(op), x0)
+
+
+def max_pool_argmax_loop(x):
+    """Oracle: the running argmax, row by row; ties keep the earliest row."""
+    n, c = x.shape
+    running = np.maximum.accumulate(x, axis=0)
+    argmax = np.zeros((n, c), dtype=np.int64)
+    best = np.zeros(c, dtype=np.int64)
+    for i in range(1, n):
+        best = np.where(x[i] > running[i - 1], i, best)
+        argmax[i] = best
+    return argmax
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 7), st.integers(1, 4)),
+              elements=st.integers(-2, 2).map(float)))
+def test_max_pool_prefix_gradient_routing_matches_loop_oracle(x):
+    # small integers make ties common; distinct integer upstream gradients keep sums exact
+    n, c = x.shape
+    g = np.arange(1.0, n * c + 1).reshape(n, c)
+    xt = t(x)
+    weighted = ad.elementwise_mul(ad.max_pool_prefix(xt), ad.constant(g))
+    ad.backward(ad.matmul(ad.matmul(ad.constant(np.ones((1, n))), weighted),
+                          ad.constant(np.ones((c, 1)))))
+    expect = np.zeros_like(x)
+    for (i, j), row in np.ndenumerate(max_pool_argmax_loop(x)):
+        expect[row, j] += g[i, j]
+    assert np.array_equal(xt.grad, expect)
 
 
 def test_segment_sum_gradient_fd():
@@ -230,7 +232,8 @@ def test_linear_layer_closed_form_gradient():
     targets = [0, 1, 2, 0, 1]
     logits = ad.matmul(x, w)
     ad.backward(ad.cross_entropy_from_logits(logits, targets))
-    p = ad.softmax_rows(ad.constant(logits.data)).data
+    e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
     onehot = np.zeros_like(p)
     onehot[np.arange(5), targets] = 1.0
     expect = x.data.T @ ((p - onehot) / 5)
@@ -240,15 +243,17 @@ def test_linear_layer_closed_form_gradient():
 def test_forward_determinism():
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=(5, 7)), rng.normal(size=(7, 3))
-    one = ad.matmul(ad.softmax_rows(t(a)), t(b)).data
-    two = ad.matmul(ad.softmax_rows(t(a)), t(b)).data
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    a = e / e.sum(axis=1, keepdims=True)  # softmax rows
+    one = ad.matmul(t(a), t(b)).data
+    two = ad.matmul(t(a), t(b)).data
     assert np.array_equal(one, two)
 
 
 def test_forward_output_finite():
     rng = np.random.default_rng(5)
     x = t(rng.normal(size=(4, 4)) * 100)
-    for op in (ad.relu, ad.softmax_rows, ad.mean_pool_prefix, ad.cumsum_rows):
+    for op in (ad.relu, ad.mean_pool_prefix, ad.cumsum_rows):
         assert np.all(np.isfinite(op(x).data))
 
 

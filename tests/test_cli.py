@@ -134,6 +134,33 @@ def test_resume_matches_uninterrupted_run(tmp_path, raw_dir):
         assert np.array_equal(p.data, half.params[name].data), name
 
 
+def test_fresh_train_starts_a_new_loss_log(tmp_path, raw_dir):
+    ds = prepare_dataset(tmp_path, raw_dir)
+    cfg = tmp_path / "run.cfg"
+    write_train_config(cfg, ds / "manifest.json", tmp_path / "run", steps=3)
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    lines = (tmp_path / "run" / "loss.csv").read_text().splitlines()
+    assert lines[0] == "step,nats,bits_per_coord"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+
+
+def test_resume_in_place_rewrites_loss_log_from_its_step(tmp_path, raw_dir):
+    ds = prepare_dataset(tmp_path, raw_dir)
+    run = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    write_train_config(cfg, ds / "manifest.json", run, steps=20)
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    uninterrupted = (run / "loss.csv").read_bytes()
+    with open(run / "loss.csv", "ab") as log:
+        log.write(b"not a row\n3")  # a resume drops foreign and torn rows too
+    write_train_config(cfg, ds / "manifest.json", run, steps=10)
+    assert cli.main([
+        "train", "--config", str(cfg), "--checkpoint", str(run / "ckpt_000010.pgrw"),
+    ]) == 0
+    assert (run / "loss.csv").read_bytes() == uninterrupted
+
+
 def test_checkpoint_roundtrip_bit_identical(tmp_path):
     model = Model(ModelConfig(bins=16, feature_width=8, encoder_widths=(8,),
                               head_widths=(8,), context=ContextOpKind.SACA_A, seed=2))
@@ -142,20 +169,52 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         p.data = rng.normal(size=p.data.shape)
     state = AdamState.for_params(model.params)
     state.t = 17
+    state.m = {k: rng.normal(size=m.shape) for k, m in state.m.items()}
+    state.v = {k: rng.random(size=v.shape) for k, v in state.v.items()}
     path = tmp_path / "m.pgrw"
     ckpt.save_checkpoint(path, model, state, step=17)
-    loaded, lstate, step = ckpt.load_checkpoint(path)
-    assert step == 17 and lstate.t == 17
-    assert loaded.config == model.config
-    for name, p in model.params.items():
-        assert p.data.tobytes() == loaded.params[name].data.tobytes()
+    # files written before the header dropped its unread "rng" field must still load
+    legacy = tmp_path / "legacy.pgrw"
+    blob = path.read_bytes()
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:header_end])
+    header["rng"] = {"kind": "step-counter", "seed": 2, "step": 17}
+    raw = json.dumps(header).encode("utf-8")
+    legacy.write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[header_end:])
+    for saved in (path, legacy):
+        loaded, lstate, step = ckpt.load_checkpoint(saved)
+        assert step == 17 and lstate.t == 17
+        assert loaded.config == model.config
+        for name, p in model.params.items():
+            assert p.data.tobytes() == loaded.params[name].data.tobytes()
+            assert state.m[name].tobytes() == lstate.m[name].tobytes()
+            assert state.v[name].tobytes() == lstate.v[name].tobytes()
 
 
 def test_corrupt_checkpoint_rejected(tmp_path):
+    good = make_checkpoint(tmp_path).read_bytes()
     bad = tmp_path / "bad.pgrw"
-    bad.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(CheckpointError):
-        ckpt.load_checkpoint(bad)
+    for blob in (
+        b"NOPE" + b"\x00" * 64,
+        good[:12],  # cut inside the preamble
+        good[:8] + (2**40).to_bytes(8, "little") + good[16:],  # header past the end
+    ):
+        bad.write_bytes(blob)
+        with pytest.raises(CheckpointError):
+            ckpt.load_checkpoint(bad)
+
+
+def test_generate_on_bad_checkpoint_version_exits_2(tmp_path, capsys):
+    blob = bytearray(make_checkpoint(tmp_path).read_bytes())
+    blob[4:8] = (7).to_bytes(4, "little")
+    bad = tmp_path / "v7.pgrw"
+    bad.write_bytes(bytes(blob))
+    rc = cli.main(["generate", "--checkpoint", str(bad), "--points", "4",
+                   "--out", str(tmp_path / "g")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pointgen: ") and "version 7" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +309,12 @@ def test_conditional_generate_one_hot(tmp_path):
 
 def test_config_unknown_key_names_key_and_line(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bins = 16\nfeatures = 8\nbogus_key = 1\n")
-    with pytest.raises(ConfigError) as err:
-        parse_config(cfg)
-    assert "bogus_key" in str(err.value) and ":3" in str(err.value)
+    # temperature and points were once accepted and silently ignored
+    for key, value in (("bogus_key", "1"), ("temperature", "0.5"), ("points", "99")):
+        cfg.write_text(f"bins = 16\nfeatures = 8\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        assert f"unknown key {key!r}" in str(err.value) and ":3" in str(err.value)
 
 
 def test_config_bad_value_names_key(tmp_path):

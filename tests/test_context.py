@@ -8,7 +8,6 @@ from pointgen.context import (
     apply_context,
     saca_a,
     saca_b,
-    shift_context,
 )
 from pointgen.errors import ConfigError
 
@@ -126,10 +125,10 @@ def test_max_pool_prefix_matches_bruteforce():
 
 def test_shift_context_examples():
     assert np.array_equal(
-        shift_context(t([[1.0, 2.0], [3.0, 4.0]])).data, [[0, 0], [1, 2]]
+        ad.shift_down(t([[1.0, 2.0], [3.0, 4.0]])).data, [[0, 0], [1, 2]]
     )
-    assert np.array_equal(shift_context(t([[7.0, 7.0]])).data, [[0, 0]])
-    twice = shift_context(shift_context(t([[1.0], [2.0], [3.0]])))
+    assert np.array_equal(ad.shift_down(t([[7.0, 7.0]])).data, [[0, 0]])
+    twice = ad.shift_down(ad.shift_down(t([[1.0], [2.0], [3.0]])))
     assert np.array_equal(twice.data, [[0], [0], [1]])
 
 
@@ -137,8 +136,8 @@ def test_shift_context_is_linear():
     rng = np.random.default_rng(2)
     x, y = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
     a, b = 2.5, -1.25
-    lhs = shift_context(t(a * x + b * y)).data
-    rhs = a * shift_context(t(x)).data + b * shift_context(t(y)).data
+    lhs = ad.shift_down(t(a * x + b * y)).data
+    rhs = a * ad.shift_down(t(x)).data + b * ad.shift_down(t(y)).data
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 

@@ -104,6 +104,21 @@ def test_sort_zyx_idempotent_permutation(pts):
     assert keys == sorted(keys)
 
 
+def is_sorted_zyx_loop(bins):
+    """Oracle: compare each pair of neighbouring (z, y, x) tuples."""
+    keys = bins[:, ::-1]
+    return all(tuple(keys[i]) <= tuple(keys[i + 1]) for i in range(len(keys) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.int64, st.tuples(st.integers(0, 6), st.just(3)), elements=st.integers(0, 2)))
+def test_is_sorted_zyx_matches_tuple_loop(bins):
+    # values in 0..2 make equal keys common; the sorted copy makes True common
+    for candidate in (bins, pcd.sort_zyx(bins)):
+        cloud = pcd.QuantizedPointCloud(candidate, 3)
+        assert cloud.is_sorted_zyx() == is_sorted_zyx_loop(candidate)
+
+
 # ---------------------------------------------------------------------------
 # farthest point sampling
 

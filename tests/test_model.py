@@ -77,7 +77,7 @@ def test_zero_condition_matches_unconditional_bitwise():
     without = uncond_model.forward(q)
     for branch in ("z", "y", "x"):
         assert np.array_equal(
-            with_h.for_branch(branch).data, without.for_branch(branch).data
+            with_h[branch].data, without[branch].data
         )
 
 
@@ -92,7 +92,7 @@ def test_zero_projection_ignores_condition():
     a = model.forward(q, np.array([3.0, -2.0, 1.0, 0.5]))
     b = model.forward(q, np.zeros(4))
     for branch in ("z", "y", "x"):
-        assert np.array_equal(a.for_branch(branch).data, b.for_branch(branch).data)
+        assert np.array_equal(a[branch].data, b[branch].data)
 
 
 def test_condition_mismatch_rejected():
@@ -121,18 +121,18 @@ def test_causality_exact(kind):
         out = model.forward(QuantizedPointCloud(bins, 16))
         for branch in ("z", "y", "x"):
             assert np.array_equal(
-                out.for_branch(branch).data[:j], base.for_branch(branch).data[:j]
+                out[branch].data[:j], base[branch].data[:j]
             )
     # coordinate conditioning order within point i
     i = 4
     bins = q.bins.copy()
     bins[i, 0] = (bins[i, 0] + 7) % 16  # x_i changed
     out = model.forward(QuantizedPointCloud(bins, 16))
-    assert np.array_equal(out.z.data[i], base.z.data[i])
-    assert np.array_equal(out.y.data[i], base.y.data[i])
+    assert np.array_equal(out["z"].data[i], base["z"].data[i])
+    assert np.array_equal(out["y"].data[i], base["y"].data[i])
     bins[i, 1] = (bins[i, 1] + 5) % 16  # y_i changed too
     out = model.forward(QuantizedPointCloud(bins, 16))
-    assert np.array_equal(out.z.data[i], base.z.data[i])
+    assert np.array_equal(out["z"].data[i], base["z"].data[i])
 
 
 def test_factorization_identity():
@@ -144,7 +144,7 @@ def test_factorization_identity():
     result = model.nll_loss(logits, q)
     product = 1.0
     for branch, col in (("z", 2), ("y", 1), ("x", 0)):
-        raw = logits.for_branch(branch).data
+        raw = logits[branch].data
         e = np.exp(raw - raw.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
         for i in range(q.n):
