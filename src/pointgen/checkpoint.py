@@ -8,7 +8,9 @@ Roundtrips are bit-exact, which training resumption relies on.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -21,7 +23,12 @@ MAGIC = b"PGRW"
 VERSION = 1
 
 
+KINDS = ("param", "adam_m", "adam_v")
+
+
 def save_checkpoint(path, model: Model, state: AdamState, step: int) -> None:
+    """Write the checkpoint to `<path>.tmp` beside it, then rename it over
+    `path`, so an interrupted write never leaves a truncated `path`."""
     tensors: list[tuple[str, np.ndarray]] = []
     for name, p in model.params.items():
         tensors.append((f"param:{name}", p.data))
@@ -32,13 +39,10 @@ def save_checkpoint(path, model: Model, state: AdamState, step: int) -> None:
 
     table = []
     offset = 0
-    payloads = []
     for name, arr in tensors:
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
         table.append({"name": name, "rows": arr.shape[0], "cols": arr.shape[1],
                       "offset": offset})
-        payloads.append(raw)
-        offset += len(raw)
+        offset += arr.size * 8
 
     header = json.dumps({
         "config": model.config.to_dict(),
@@ -47,61 +51,115 @@ def save_checkpoint(path, model: Model, state: AdamState, step: int) -> None:
         "tensors": table,
     }).encode("utf-8")
 
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for raw in payloads:
-            fh.write(raw)
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for _, arr in tensors:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _count(header: dict, key: str, path) -> int:
+    value = header.get(key)
+    if type(value) is not int or value < 0:
+        raise CheckpointError(f"{path}: bad or missing header field {key!r}")
+    return value
+
+
+def _read_header(fh, path) -> tuple[ModelConfig, dict, dict[str, tuple[int, int, int]]]:
+    """Check the preamble, the header and its tensor table against the
+    config's parameter shapes; read no tensor.
+
+    Returns the config, the header and the table: name -> (rows, cols,
+    offset in the file).
+    """
+    size = os.fstat(fh.fileno()).st_size
+    preamble = fh.read(16)
+    if len(preamble) < 16:
+        raise CheckpointError(f"{path}: truncated preamble ({len(preamble)} bytes)")
+    if preamble[:4] != MAGIC:
+        raise CheckpointError(f"{path}: bad magic bytes")
+    (version,) = struct.unpack_from("<I", preamble, 4)
+    if version != VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    (header_len,) = struct.unpack_from("<Q", preamble, 8)
+    header_end = 16 + header_len
+    if header_end > size:
+        raise CheckpointError(f"{path}: header length {header_len} exceeds the file")
+    try:
+        header = json.loads(fh.read(header_len).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: corrupt header ({exc})")
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header (not an object)")
+    try:
+        config = ModelConfig.from_dict(header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad model config in header ({exc!r})")
+    _count(header, "step", path)
+    _count(header, "adam_t", path)
+    entries = header.get("tensors")
+    if not isinstance(entries, list):
+        raise CheckpointError(f"{path}: bad or missing header field 'tensors'")
+
+    payload_len = size - header_end
+    table: dict[str, tuple[int, int, int]] = {}
+    for entry in entries:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        if not isinstance(name, str) or name in table:
+            raise CheckpointError(f"{path}: bad or repeated tensor name {name!r}")
+        rows, cols, off = (_count(entry, key, path) for key in ("rows", "cols", "offset"))
+        if off + rows * cols * 8 > payload_len:
+            raise CheckpointError(f"{path}: truncated payload for {name}")
+        table[name] = (rows, cols, header_end + off)
+
+    shapes = config.parameter_shapes()
+    expected = {f"{kind}:{p}": shape for kind in KINDS for p, shape in shapes.items()}
+    unexpected = sorted(table.keys() - expected.keys())
+    if unexpected:
+        raise CheckpointError(f"{path}: unexpected tensor {unexpected[0]}")
+    for name, shape in expected.items():
+        if name not in table:
+            raise CheckpointError(f"{path}: missing tensor {name}")
+        if table[name][:2] != shape:
+            raise CheckpointError(
+                f"{path}: tensor {name} is {table[name][:2]}, the config gives {shape}")
+    return config, header, table
+
+
+def _read_tensors(fh, table, kind: str) -> dict[str, np.ndarray]:
+    arrays = {}
+    for name, (rows, cols, off) in table.items():
+        if name.startswith(kind + ":"):
+            fh.seek(off)
+            raw = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
+            arrays[name.partition(":")[2]] = raw.astype(np.float64).reshape(rows, cols)
+    return arrays
+
+
+def _model(config: ModelConfig, params: dict[str, np.ndarray]) -> Model:
+    return Model(config, {name: Tensor(arr, requires_grad=True) for name, arr in params.items()})
+
+
+def load_model(path) -> Model:
+    """The model of a checkpoint; its optimizer moments are checked in the
+    table but not read."""
+    with open(path, "rb") as fh:
+        config, _, table = _read_header(fh, path)
+        return _model(config, _read_tensors(fh, table, "param"))
 
 
 def load_checkpoint(path) -> tuple[Model, AdamState, int]:
+    """Model, optimizer state and step of a checkpoint, for resuming training."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16:
-        raise CheckpointError(f"{path}: truncated preamble ({len(blob)} bytes)")
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (header_len,) = struct.unpack_from("<Q", blob, 8)
-    header_end = 16 + header_len
-    if header_end > len(blob):
-        raise CheckpointError(f"{path}: header length {header_len} exceeds the file")
-    try:
-        header = json.loads(blob[16:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: corrupt header ({exc})")
-    payload = blob[header_end:]
-
-    arrays: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        rows, cols, off = entry["rows"], entry["cols"], entry["offset"]
-        nbytes = rows * cols * 8
-        if off + nbytes > len(payload):
-            raise CheckpointError(f"{path}: truncated payload for {entry['name']}")
-        arr = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=off)
-        arrays[entry["name"]] = arr.astype(np.float64).reshape(rows, cols)
-
-    config = ModelConfig.from_dict(header["config"])
-    params = {}
-    m = {}
-    v = {}
-    for name, arr in arrays.items():
-        kind, _, pname = name.partition(":")
-        if kind == "param":
-            params[pname] = Tensor(arr, requires_grad=True)
-        elif kind == "adam_m":
-            m[pname] = arr
-        elif kind == "adam_v":
-            v[pname] = arr
-        else:
-            raise CheckpointError(f"{path}: unknown tensor kind {kind!r}")
-    missing = set(params) - set(m) or set(params) - set(v)
-    if missing:
-        raise CheckpointError(f"{path}: missing optimizer moments for {sorted(missing)}")
-    model = Model(config, params)
-    state = AdamState(m=m, v=v, t=header["adam_t"])
-    return model, state, header["step"]
+        config, header, table = _read_header(fh, path)
+        params, m, v = (_read_tensors(fh, table, kind) for kind in KINDS)
+    return _model(config, params), AdamState(m=m, v=v, t=header["adam_t"]), header["step"]

@@ -13,7 +13,7 @@ bias H @ h in every fully-connected layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,6 +60,23 @@ class ModelConfig:
         widths = (2 * self.feature_width,) + self.head_widths + (self.bins,)
         return list(zip(widths[:-1], widths[1:]))
 
+    def parameter_shapes(self) -> dict[str, tuple[int, int]]:
+        """Shape of every parameter matrix by name, in initialisation order."""
+        blocks = [("enc", self.encoder_dims())]
+        if self.context.needs_mlp:
+            blocks.append(("att", self.attention_dims()))
+        blocks.append(("head", self.head_dims()))
+        shapes = {}
+        for branch in BRANCHES:
+            for block, dims in blocks:
+                for k, (fan_in, fan_out) in enumerate(dims):
+                    name = f"{branch}.{block}{k}"
+                    shapes[f"{name}.W"] = (fan_in, fan_out)
+                    shapes[f"{name}.b"] = (1, fan_out)
+                    if self.condition_dim > 0:
+                        shapes[f"{name}.H"] = (self.condition_dim, fan_out)
+        return shapes
+
     def to_dict(self) -> dict:
         return {
             "bins": self.bins,
@@ -74,6 +91,9 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
+        missing = sorted({f.name for f in fields(cls)} - d.keys())
+        if missing:
+            raise ConfigError(f"missing model config fields {missing}")
         d["context"] = ContextOpKind(d["context"])
         d["encoder_widths"] = tuple(d["encoder_widths"])
         d["head_widths"] = tuple(d["head_widths"])
@@ -94,34 +114,16 @@ def init_parameters(config: ModelConfig) -> dict[str, Tensor]:
     every bin uniformly (log2(bins) bits per coordinate).
     """
     rng = np.random.default_rng(config.seed)
+    last_head = f"head{len(config.head_dims()) - 1}"
     params: dict[str, Tensor] = {}
-
-    def make_layer(name: str, fan_in: int, fan_out: int, zero: bool):
-        if zero:
-            w = np.zeros((fan_in, fan_out))
+    for name, shape in config.parameter_shapes().items():
+        _, layer, kind = name.split(".")
+        if kind == "b" or layer == last_head:
+            data = np.zeros(shape)
         else:
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        params[f"{name}.W"] = Tensor(w, requires_grad=True)
-        params[f"{name}.b"] = Tensor(np.zeros((1, fan_out)), requires_grad=True)
-        if config.condition_dim > 0:
-            d = config.condition_dim
-            if zero:
-                h = np.zeros((d, fan_out))
-            else:
-                bound = math.sqrt(6.0 / (d + fan_out))
-                h = rng.uniform(-bound, bound, size=(d, fan_out))
-            params[f"{name}.H"] = Tensor(h, requires_grad=True)
-
-    for branch in BRANCHES:
-        for k, (fi, fo) in enumerate(config.encoder_dims()):
-            make_layer(f"{branch}.enc{k}", fi, fo, zero=False)
-        if config.context.needs_mlp:
-            for k, (fi, fo) in enumerate(config.attention_dims()):
-                make_layer(f"{branch}.att{k}", fi, fo, zero=False)
-        head_dims = config.head_dims()
-        for k, (fi, fo) in enumerate(head_dims):
-            make_layer(f"{branch}.head{k}", fi, fo, zero=(k == len(head_dims) - 1))
+            bound = math.sqrt(6.0 / sum(shape))  # fan-in + fan-out (H: condition dim + fan-out)
+            data = rng.uniform(-bound, bound, size=shape)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -141,6 +143,22 @@ def build_branch_inputs(q: QuantizedPointCloud) -> dict[str, tuple[np.ndarray, n
     masked_x[:, 1] = coords[:, 1]
     masked_x[:, 2] = coords[:, 2]
     return {"z": (coords, masked_z), "y": (coords, masked_y), "x": (coords, masked_x)}
+
+
+Layer = tuple[np.ndarray, np.ndarray, np.ndarray | None]  # W, b and h @ H of one layer
+
+
+def dense_block(x: np.ndarray, layers: list[Layer], final_linear: bool) -> np.ndarray:
+    """`Model._apply_block` on plain arrays, without a tape: the same
+    products and sums in the same order. A product of one row can still
+    differ from that row of a larger product in the last bits (BLAS)."""
+    for k, (w, b, hh) in enumerate(layers):
+        pre = x @ w + b
+        if hh is not None:
+            pre = pre + hh
+        last = k == len(layers) - 1
+        x = pre if (last and final_linear) else np.where(pre > 0.0, pre, 0.0)
+    return x
 
 
 class Model:
@@ -172,6 +190,18 @@ class Model:
             if collect is not None:
                 collect.append(x)
         return x
+
+    def layer_arrays(self, branch: str, block: str, h: np.ndarray | None) -> list[Layer]:
+        """The layers of one block as `dense_block` takes them; h is the
+        (1, condition_dim) condition row or None."""
+        dims = {"enc": self.config.encoder_dims, "att": self.config.attention_dims,
+                "head": self.config.head_dims}[block]()
+        layers = []
+        for k in range(len(dims)):
+            name = f"{branch}.{block}{k}"
+            hh = None if h is None else h @ self.params[f"{name}.H"].data
+            layers.append((self.params[f"{name}.W"].data, self.params[f"{name}.b"].data, hh))
+        return layers
 
     def _encode(self, branch, rows: np.ndarray, h, collect=None) -> Tensor:
         return self._apply_block(

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import QuantizedPointCloud
+from .context import ContextOpKind
+from .data import QuantizedPointCloud, dequantize
 from .errors import InputError, ShapeMismatchError
-from .model import Model
+from .model import BRANCHES, Model, build_branch_inputs, dense_block
 
 
 @dataclass
@@ -57,29 +58,90 @@ def sample_bin(probabilities: np.ndarray, rng: np.random.Generator) -> int:
 _BRANCH_COLUMN = {"z": 2, "y": 1, "x": 0}
 
 
+class _BranchCache:
+    """One branch's context state over the finished points of a cloud.
+
+    observe() takes each finished point once; context() is then the row
+    of the branch's shifted context matrix in `Model.forward` for the next
+    point. ca-mean keeps the running feature sum, ca-max the running max,
+    saca-a the running sum of f_m * w_m, and saca-b the feature rows, as its
+    weights depend on the querying point's own prefix mean. Running sums
+    add rows in np.cumsum's order.
+    """
+
+    def __init__(self, model: Model, branch: str, h: np.ndarray | None, n: int):
+        self.kind = model.config.context
+        self.enc = model.layer_arrays(branch, "enc", h)
+        self.att = model.layer_arrays(branch, "att", h) if self.kind.needs_mlp else None
+        self.head = model.layer_arrays(branch, "head", h)
+        self.features = np.empty((n, model.config.feature_width))
+        self.count = 0
+        self.total = None  # sum of the feature rows
+        self.running = None  # ca-max: running max; saca-a: running sum of f_m * w_m
+
+    def observe(self, point: np.ndarray) -> None:
+        f = dense_block(point, self.enc, final_linear=False)
+        self.features[self.count] = f
+        self.count += 1
+        self.total = f if self.total is None else self.total + f
+        if self.kind is ContextOpKind.CA_MAX:
+            self.running = f if self.running is None else np.maximum(self.running, f)
+        elif self.kind is ContextOpKind.SACA_A:
+            w = dense_block(np.hstack([self.total / self.count, f]), self.att, final_linear=True)
+            self.running = f * w if self.running is None else self.running + f * w
+
+    def context(self) -> np.ndarray:
+        if self.count == 0:
+            return np.zeros((1, self.features.shape[1]))
+        if self.kind is ContextOpKind.CA_MEAN:
+            return self.total / self.count
+        if self.kind is ContextOpKind.SACA_B:
+            f = self.features[: self.count]
+            pooled = np.broadcast_to(self.total / self.count, f.shape)
+            w = dense_block(np.hstack([pooled, f]), self.att, final_linear=True)
+            # reduceat, as in context.saca_b: it does not add row by row like np.add.reduce
+            return np.add.reduceat(f * w, [0], axis=0)
+        return self.running
+
+    def logits(self, masked: np.ndarray) -> np.ndarray:
+        """Logits of the next point from its masked (1, 3) input row."""
+        m = dense_block(masked, self.enc, final_linear=False)
+        return dense_block(np.hstack([self.context(), m]), self.head, final_linear=True)[0]
+
+
 def generate(model: Model, settings: SamplerSettings) -> QuantizedPointCloud:
     """Grow a cloud one coordinate at a time (z, then y, then x per point).
 
-    Each coordinate is drawn from the model's softmax for the current
-    partial cloud, then fed back in before the next draw: 3 forward
-    passes and 3 variates per point. The output keeps generation order
-    and is not re-sorted.
+    Each coordinate is drawn from the model's softmax given the points
+    before it and the coordinates of its own point drawn so far, then fed
+    back in before the next draw: 3 variates per point. Only the drawing
+    branch's logits row is computed, from cached per-branch context state,
+    so a cloud costs O(n) layer rows (O(n^2) for saca-b) and records no
+    tape. The output keeps generation order and is not re-sorted.
     """
     cfg = model.config
     rng = np.random.default_rng(settings.seed)
     prefix = settings.prefix
     if prefix is not None and prefix.bin_count != cfg.bins:
         raise InputError("generate: prefix bin count differs from model")
+    condition = model._condition_tensor(settings.condition)
+    h = None if condition is None else condition.data
+    caches = {branch: _BranchCache(model, branch, h, settings.n) for branch in BRANCHES}
     start = prefix.n if prefix is not None else 0
     bins = np.zeros((settings.n, 3), dtype=np.int64)
     if start:
         bins[:start] = prefix.bins
-    for i in range(start, settings.n):
-        for branch in ("z", "y", "x"):
-            partial = QuantizedPointCloud(bins[: i + 1].copy(), cfg.bins)
-            logits = model.forward(partial, settings.condition)[branch]
-            probs = softmax_with_temperature(logits.data[i], settings.temperature)
-            bins[i, _BRANCH_COLUMN[branch]] = sample_bin(probs, rng)
+    for i in range(settings.n):
+        if i >= start:
+            for branch in BRANCHES:
+                point = QuantizedPointCloud(bins[i : i + 1], cfg.bins)
+                logits = caches[branch].logits(build_branch_inputs(point)[branch][1])
+                probs = softmax_with_temperature(logits, settings.temperature)
+                bins[i, _BRANCH_COLUMN[branch]] = sample_bin(probs, rng)
+        if i + 1 < settings.n:
+            point = dequantize(QuantizedPointCloud(bins[i : i + 1], cfg.bins))
+            for cache in caches.values():
+                cache.observe(point)
     return QuantizedPointCloud(bins, cfg.bins)
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 
 import pointgen.autodiff as ad
-from pointgen.data import normalize_unit_cube, quantize
+from pointgen.data import QuantizedPointCloud, normalize_unit_cube, quantize
+from pointgen.sampler import sample_bin, softmax_with_temperature
 
 
 def finite_difference_check(loss_fn, params, eps=1e-5, tol=1e-4, floor=1e-6):
@@ -83,3 +84,22 @@ def toy_dataset(seed=42, bins=32, n_points=64, per_family=10):
 
 def random_cloud(rng, n, bins):
     return quantize(rng.random((n, 3)), bins)
+
+
+def naive_generate(model, settings):
+    """Oracle sampler: a full `Model.forward` over the partial cloud for
+    each of the 3n draws, keeping one row of one branch."""
+    cfg = model.config
+    rng = np.random.default_rng(settings.seed)
+    prefix = settings.prefix
+    start = prefix.n if prefix is not None else 0
+    bins = np.zeros((settings.n, 3), dtype=np.int64)
+    if start:
+        bins[:start] = prefix.bins
+    for i in range(start, settings.n):
+        for branch, column in (("z", 2), ("y", 1), ("x", 0)):
+            partial = QuantizedPointCloud(bins[: i + 1].copy(), cfg.bins)
+            logits = model.forward(partial, settings.condition)[branch]
+            probs = softmax_with_temperature(logits.data[i], settings.temperature)
+            bins[i, column] = sample_bin(probs, rng)
+    return QuantizedPointCloud(bins, cfg.bins)

@@ -1,8 +1,13 @@
+import errno
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointgen import checkpoint as ckpt
 from pointgen import cli
@@ -215,6 +220,133 @@ def test_generate_on_bad_checkpoint_version_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("pointgen: ") and "version 7" in err
     assert "Traceback" not in err
+
+
+def with_header(blob: bytes, edit) -> bytes:
+    """The checkpoint `blob` with its JSON header replaced by edit(header)."""
+    header_end = 16 + int.from_bytes(blob[8:16], "little")
+    raw = json.dumps(edit(json.loads(blob[16:header_end]))).encode("utf-8")
+    return blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[header_end:]
+
+
+def without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+def edit_tensors(edit):
+    return lambda h: {**h, "tensors": [edit(t) for t in h["tensors"]]}
+
+
+MALFORMED_HEADERS = {
+    "missing param": (lambda h: {**h, "tensors": [
+        t for t in h["tensors"] if t["name"] != "param:z.enc0.W"]}, "missing tensor param:z.enc0.W"),
+    "missing moment": (lambda h: {**h, "tensors": [
+        t for t in h["tensors"] if t["name"] != "adam_v:x.head1.b"]},
+        "missing tensor adam_v:x.head1.b"),
+    "extra tensor": (lambda h: {**h, "tensors": h["tensors"] + [
+        {"name": "param:z.enc9.W", "rows": 1, "cols": 1, "offset": 0}]},
+        "unexpected tensor param:z.enc9.W"),
+    "swapped rows and cols": (edit_tensors(lambda t: {**t, "rows": t["cols"], "cols": t["rows"]}
+                                           if t["name"] == "param:y.head0.W" else t),
+                              "param:y.head0.W is (8, 16)"),
+    "offset not an integer": (edit_tensors(lambda t: {**t, "offset": str(t["offset"])}),
+                              "'offset'"),
+    "table not a list": (lambda h: {**h, "tensors": {}}, "'tensors'"),
+    "unknown context": (lambda h: {**h, "config": {**h["config"], "context": "ca-mdan"}},
+                        "ca-mdan"),
+    "missing config field": (lambda h: {**h, "config": without(h["config"], "bins")},
+                             "bad model config"),
+    "missing adam_t": (lambda h: without(h, "adam_t"), "'adam_t'"),
+    "negative step": (lambda h: {**h, "step": -1}, "'step'"),
+    "empty header": (lambda h: {}, "bad model config"),
+    "header not an object": (lambda h: [h], "corrupt header"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_generate_on_malformed_checkpoint_header_exits_2(tmp_path, capsys, case):
+    edit, message = MALFORMED_HEADERS[case]
+    bad = tmp_path / "bad.pgrw"
+    bad.write_bytes(with_header(make_checkpoint(tmp_path).read_bytes(), edit))
+    with pytest.raises(CheckpointError, match="bad.pgrw"):
+        ckpt.load_checkpoint(bad)
+    rc = cli.main(["generate", "--checkpoint", str(bad), "--points", "4",
+                   "--out", str(tmp_path / "g")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pointgen: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "g.ply").exists()
+
+
+def _checkpoint_bytes():
+    model = Model(ModelConfig(bins=8, feature_width=4, encoder_widths=(4,), head_widths=(4,),
+                              context=ContextOpKind.SACA_A, condition_dim=2, seed=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.pgrw")
+        ckpt.save_checkpoint(path, model, AdamState.for_params(model.params), step=5)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+VALID_CHECKPOINT = _checkpoint_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=st.integers(0, len(VALID_CHECKPOINT) - 1))
+def test_every_truncation_of_a_checkpoint_raises_checkpoint_error(cut):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cut.pgrw")
+        with open(path, "wb") as fh:
+            fh.write(VALID_CHECKPOINT[:cut])
+        for load in (ckpt.load_checkpoint, ckpt.load_model):
+            with pytest.raises(CheckpointError):
+                load(path)
+
+
+def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, monkeypatch):
+    path = make_checkpoint(tmp_path)
+    before = path.read_bytes()
+    model = Model(ModelConfig(bins=16, feature_width=8, encoder_widths=(8,), head_widths=(8,),
+                              context=ContextOpKind.CA_MEAN, seed=1))
+    header_len = int.from_bytes(before[8:16], "little")
+
+    class FullDisk:
+        """A file that fails once a few payload bytes have been written."""
+
+        def __init__(self, fh):
+            self.fh, self.written = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if self.written > 16 + header_len + 100:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            self.written += len(data)
+            return self.fh.write(data)
+
+    monkeypatch.setattr(ckpt, "open", lambda p, mode: FullDisk(open(p, mode)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        ckpt.save_checkpoint(path, model, AdamState.for_params(model.params), step=3)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    ckpt.save_checkpoint(path, model, AdamState.for_params(model.params), step=3)
+    assert ckpt.load_checkpoint(path)[2] == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_load_model_matches_load_checkpoint(tmp_path):
+    path = make_checkpoint(tmp_path, d=2)
+    full, _, _ = ckpt.load_checkpoint(path)
+    model = ckpt.load_model(path)
+    assert model.config == full.config and list(model.params) == list(full.params)
+    for name, p in full.params.items():
+        assert p.data.tobytes() == model.params[name].data.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_cloud
+from helpers import naive_generate, random_cloud, randomize_params
+from pointgen import sampler
 from pointgen.autodiff import AdamState
 from pointgen.context import ContextOpKind
-from pointgen.data import QuantizedPointCloud
+from pointgen.data import QuantizedPointCloud, sort_zyx
 from pointgen.errors import InputError, ShapeMismatchError
 from pointgen.model import Model, ModelConfig
 from pointgen.sampler import (
@@ -86,18 +89,48 @@ def test_generate_fixed_seed_is_reproducible():
     assert not np.array_equal(a.bins, c.bins)
 
 
-def test_generate_uses_3n_forward_passes():
-    model = tiny_model()
-    calls = {"n": 0}
-    original = model.forward
+def oracle_case_model(kind, d, seed):
+    model = Model(ModelConfig(bins=8, feature_width=4, encoder_widths=(5, 4),
+                              head_widths=(6,), context=kind, condition_dim=d, seed=seed))
+    randomize_params(model, np.random.default_rng(seed))
+    condition = np.random.default_rng(seed + 1).normal(size=d) if d else None
+    return model, condition
 
-    def counting_forward(*args, **kwargs):
-        calls["n"] += 1
-        return original(*args, **kwargs)
 
-    model.forward = counting_forward
-    generate(model, SamplerSettings(n=5, seed=0))
-    assert calls["n"] == 15
+def sorted_prefix(rng, k, bins):
+    return QuantizedPointCloud(sort_zyx(rng.integers(0, bins, (k, 3))), bins)
+
+
+@settings(max_examples=48, deadline=None)
+@given(kind=st.sampled_from(list(ContextOpKind)), d=st.sampled_from([0, 3]),
+       n=st.integers(1, 6), prefix_frac=st.floats(0.0, 1.0),
+       temperature=st.sampled_from([0.5, 1.0, 1.7]), seed=st.integers(0, 2**16))
+def test_cached_generate_matches_forward_oracle(kind, d, n, prefix_frac, temperature, seed):
+    model, condition = oracle_case_model(kind, d, seed)
+    k = round(prefix_frac * n)
+    prefix = sorted_prefix(np.random.default_rng(seed), k, 8) if k else None
+    s = SamplerSettings(n=n, seed=seed, temperature=temperature, condition=condition,
+                        prefix=prefix)
+    assert np.array_equal(generate(model, s).bins, naive_generate(model, s).bins)
+
+
+@pytest.mark.parametrize("kind", list(ContextOpKind))
+@pytest.mark.parametrize("d", [0, 3])
+def test_cached_logits_match_forward_on_finished_cloud(kind, d, monkeypatch):
+    # causality: row i of branch b in a forward pass over the finished cloud
+    # sees exactly what the sampler saw when it drew that coordinate
+    model, condition = oracle_case_model(kind, d, seed=5)
+    rows = []
+    real = sampler.softmax_with_temperature
+    monkeypatch.setattr(sampler, "softmax_with_temperature",
+                        lambda logits, t: rows.append(logits.copy()) or real(logits, t))
+    prefix = sorted_prefix(np.random.default_rng(4), 3, 8)
+    cloud = generate(model, SamplerSettings(n=9, seed=2, condition=condition, prefix=prefix))
+    full = model.forward(cloud, condition)
+    expected = [full[b].data[i] for i in range(3, 9) for b in ("z", "y", "x")]
+    assert len(rows) == len(expected) == 18
+    for got, want in zip(rows, expected):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_generate_uniform_marginals():
