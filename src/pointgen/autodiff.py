@@ -54,8 +54,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a private copy: ops hand the same array, or views of one, to several parents
+            self.grad = g.copy()
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -254,37 +256,6 @@ def cumsum_rows(x: Tensor) -> Tensor:
             x._accumulate(np.cumsum(g[::-1], axis=0)[::-1])
 
     return _make(np.cumsum(x.data, axis=0), (x,), backward)
-
-
-def gather_rows(x: Tensor, idx) -> Tensor:
-    idx = np.asarray(idx, dtype=np.int64)
-
-    def backward(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
-            x._accumulate(gx)
-
-    return _make(x.data[idx], (x,), backward)
-
-
-def segment_sum_rows(x: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """Sum runs of rows sharing a segment id.
-
-    segment_ids must be sorted ascending and cover every row; every
-    segment in [0, n_segments) must be non-empty.
-    """
-    ids = np.asarray(segment_ids, dtype=np.int64)
-    if ids.shape[0] != x.rows:
-        raise ShapeMismatchError("segment_sum_rows: one id per row required")
-    starts = np.searchsorted(ids, np.arange(n_segments))
-    out_data = np.add.reduceat(x.data, starts, axis=0)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g[ids])
-
-    return _make(out_data, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

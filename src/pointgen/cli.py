@@ -15,7 +15,7 @@ from . import evaluate, sampler
 from .autodiff import AdamState
 from .config import RunConfig, parse_config
 from .data import Dataset
-from .errors import CheckpointError, ConfigError, InputError, ParseError
+from .errors import CheckpointError, ConfigError, InputError, NonFiniteLossError, ParseError
 from .model import Model, ModelConfig
 
 
@@ -150,7 +150,10 @@ def cmd_train(args) -> int:
             idx = _batch_indices(step, cfg.batch_size, len(dataset.clouds))
             batch = [dataset.clouds[i] for i in idx]
             conds = dataset.conditions[idx] if dataset.conditions is not None else None
-            nats, bits = model.train_step(state, batch, cfg.lr, conds)
+            try:
+                nats, bits = model.train_step(state, batch, cfg.lr, conds)
+            except NonFiniteLossError as exc:
+                raise NonFiniteLossError(f"train: step {step + 1}: {exc}") from exc
             log.write(f"{step + 1},{nats:.9f},{bits:.9f}\n")
             if (step + 1) % cfg.checkpoint_interval == 0:
                 log.flush()  # a checkpoint never gets ahead of the rows a resume keeps
@@ -280,7 +283,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CheckpointError, ConfigError, InputError, ParseError) as exc:
+    except (CheckpointError, ConfigError, InputError, NonFiniteLossError, ParseError) as exc:
         print(f"pointgen: {exc}", file=sys.stderr)
         return 2
 

@@ -29,3 +29,7 @@ class ConfigError(ValueError):
 
 class CheckpointError(ValueError):
     """Checkpoint file is corrupt, truncated or of an unknown version."""
+
+
+class NonFiniteLossError(ValueError):
+    """A training step's loss is NaN or infinite; no state was updated."""

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tensor
-from .context import ContextOpKind, apply_context
+from .context import ContextOpKind, LayerTensors, apply_context
 from .data import QuantizedPointCloud, dequantize
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, NonFiniteLossError
 
 BRANCHES = ("z", "y", "x")
 LN2 = math.log(2.0)
@@ -170,23 +170,26 @@ class Model:
 
     # -- layer application ---------------------------------------------------
 
-    def _apply_block(
-        self,
-        branch: str,
-        block: str,
-        n_layers: int,
-        x: Tensor,
-        h: Tensor | None,
-        final_linear: bool,
-        collect: list[Tensor] | None = None,
-    ) -> Tensor:
-        for k in range(n_layers):
-            pre = ad.add_bias(ad.matmul(x, self.params[f"{branch}.{block}{k}.W"]),
-                              self.params[f"{branch}.{block}{k}.b"])
-            if h is not None:
-                pre = ad.add_bias(pre, ad.matmul(h, self.params[f"{branch}.{block}{k}.H"]))
-            last = k == n_layers - 1
-            x = pre if (last and final_linear) else ad.relu(pre)
+    def _layers(self, branch: str, block: str, h: Tensor | None) -> list[LayerTensors]:
+        """The (W, b, h @ H) tensors of each layer of one block; h @ H is
+        None for an unconditional model."""
+        dims = {"enc": self.config.encoder_dims, "att": self.config.attention_dims,
+                "head": self.config.head_dims}[block]()
+        layers = []
+        for k in range(len(dims)):
+            name = f"{branch}.{block}{k}"
+            hh = None if h is None else ad.matmul(h, self.params[f"{name}.H"])
+            layers.append((self.params[f"{name}.W"], self.params[f"{name}.b"], hh))
+        return layers
+
+    @staticmethod
+    def _apply_block(layers: list[LayerTensors], x: Tensor, final_linear: bool,
+                     collect: list[Tensor] | None = None) -> Tensor:
+        for k, (w, b, hh) in enumerate(layers):
+            pre = ad.add_bias(ad.matmul(x, w), b)
+            if hh is not None:
+                pre = ad.add_bias(pre, hh)
+            x = pre if (k == len(layers) - 1 and final_linear) else ad.relu(pre)
             if collect is not None:
                 collect.append(x)
         return x
@@ -194,24 +197,12 @@ class Model:
     def layer_arrays(self, branch: str, block: str, h: np.ndarray | None) -> list[Layer]:
         """The layers of one block as `dense_block` takes them; h is the
         (1, condition_dim) condition row or None."""
-        dims = {"enc": self.config.encoder_dims, "att": self.config.attention_dims,
-                "head": self.config.head_dims}[block]()
-        layers = []
-        for k in range(len(dims)):
-            name = f"{branch}.{block}{k}"
-            hh = None if h is None else h @ self.params[f"{name}.H"].data
-            layers.append((self.params[f"{name}.W"].data, self.params[f"{name}.b"].data, hh))
-        return layers
+        layers = self._layers(branch, block, None if h is None else ad.constant(h))
+        return [(w.data, b.data, None if hh is None else hh.data) for w, b, hh in layers]
 
     def _encode(self, branch, rows: np.ndarray, h, collect=None) -> Tensor:
-        return self._apply_block(
-            branch, "enc", len(self.config.encoder_dims()),
-            ad.constant(rows), h, final_linear=False, collect=collect,
-        )
-
-    def _attention_mlp(self, branch, h):
-        n_layers = len(self.config.attention_dims())
-        return lambda t: self._apply_block(branch, "att", n_layers, t, h, final_linear=True)
+        return self._apply_block(self._layers(branch, "enc", h), ad.constant(rows),
+                                 final_linear=False, collect=collect)
 
     def _condition_tensor(self, condition) -> Tensor | None:
         d = self.config.condition_dim
@@ -253,13 +244,11 @@ class Model:
             ctx_rows, masked_rows = inputs[branch]
             acts: list[Tensor] = []
             features = self._encode(branch, ctx_rows, h, collect=acts)
-            mlp = self._attention_mlp(branch, h) if mlp_needed else None
-            context = apply_context(self.config.context, features, mlp)
+            layers = self._layers(branch, "att", h) if mlp_needed else None
+            context = apply_context(self.config.context, features, layers)
             masked_feat = self._encode(branch, masked_rows, h)
-            logits = self._apply_block(
-                branch, "head", len(self.config.head_dims()),
-                ad.concat_cols(context, masked_feat), h, final_linear=True,
-            )
+            logits = self._apply_block(self._layers(branch, "head", h),
+                                       ad.concat_cols(context, masked_feat), final_linear=True)
             out[branch] = logits
             if intermediates is not None:
                 intermediates[branch] = {
@@ -299,6 +288,8 @@ class Model:
         """One Adam step on the batch-mean loss.
 
         Returns (mean nats per coordinate, mean bits per coordinate).
+        Raises NonFiniteLossError, with parameters and Adam state untouched,
+        when the loss is NaN or infinite.
         """
         if not batch:
             raise InputError("train_step: empty batch")
@@ -312,12 +303,14 @@ class Model:
             result = self.cloud_nll(q, cond)
             total = result.loss if total is None else ad.add(total, result.loss)
         mean_loss = ad.scale(total, 1.0 / len(batch))
+        nats = mean_loss.item()
+        if not math.isfinite(nats):
+            raise NonFiniteLossError(f"loss is {nats}")
         ad.zero_gradients(self.params)
         ad.backward(mean_loss)
         grads = ad.collect_gradients(self.params)
         ad.adam_step(self.params, grads, state, lr)
         ad.zero_gradients(self.params)
-        nats = mean_loss.item()
         return nats, nats / LN2
 
     # -- feature extraction ----------------------------------------------------

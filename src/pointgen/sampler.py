@@ -64,9 +64,9 @@ class _BranchCache:
     observe() takes each finished point once; context() is then the row
     of the branch's shifted context matrix in `Model.forward` for the next
     point. ca-mean keeps the running feature sum, ca-max the running max,
-    saca-a the running sum of f_m * w_m, and saca-b the feature rows, as its
-    weights depend on the querying point's own prefix mean. Running sums
-    add rows in np.cumsum's order.
+    saca-a the running sum of f_m * w_m, and saca-b the feature rows and
+    their f_m Wf terms, as its weights depend on the querying point's own
+    prefix mean. Running sums add rows in np.cumsum's order.
     """
 
     def __init__(self, model: Model, branch: str, h: np.ndarray | None, n: int):
@@ -75,6 +75,9 @@ class _BranchCache:
         self.att = model.layer_arrays(branch, "att", h) if self.kind.needs_mlp else None
         self.head = model.layer_arrays(branch, "head", h)
         self.features = np.empty((n, model.config.feature_width))
+        if self.kind is ContextOpKind.SACA_B:
+            # first attention layer split as in context.saca_b: W = [Wp; Wf]
+            self.key_terms = np.empty((n, self.att[0][0].shape[1]))
         self.count = 0
         self.total = None  # sum of the feature rows
         self.running = None  # ca-max: running max; saca-a: running sum of f_m * w_m
@@ -89,6 +92,8 @@ class _BranchCache:
         elif self.kind is ContextOpKind.SACA_A:
             w = dense_block(np.hstack([self.total / self.count, f]), self.att, final_linear=True)
             self.running = f * w if self.running is None else self.running + f * w
+        elif self.kind is ContextOpKind.SACA_B:
+            self.key_terms[self.count - 1] = f @ self.att[0][0][f.shape[1]:]
 
     def context(self) -> np.ndarray:
         if self.count == 0:
@@ -97,8 +102,12 @@ class _BranchCache:
             return self.total / self.count
         if self.kind is ContextOpKind.SACA_B:
             f = self.features[: self.count]
-            pooled = np.broadcast_to(self.total / self.count, f.shape)
-            w = dense_block(np.hstack([pooled, f]), self.att, final_linear=True)
+            (w1, b1, hh1), second = self.att
+            query = (self.total / self.count) @ w1[: f.shape[1]] + b1
+            if hh1 is not None:
+                query += hh1
+            pre = query + self.key_terms[: self.count]
+            w = dense_block(np.where(pre > 0.0, pre, 0.0), [second], final_linear=True)
             # reduceat, as in context.saca_b: it does not add row by row like np.add.reduce
             return np.add.reduceat(f * w, [0], axis=0)
         return self.running

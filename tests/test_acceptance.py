@@ -184,15 +184,12 @@ def test_criterion_6_oracle_equivalence():
         rng.normal(size=(f, f)), rng.normal(size=(1, f)),
     ]
     tensors = [ad.Tensor(w) for w in weights]
-
-    def mlp(x):
-        x = ad.relu(ad.add_bias(ad.matmul(x, tensors[0]), tensors[1]))
-        return ad.add_bias(ad.matmul(x, tensors[2]), tensors[3])
+    layers = [(tensors[0], tensors[1], None), (tensors[2], tensors[3], None)]
 
     from pointgen.context import saca_a, saca_b
 
-    got_a = saca_a(ad.constant(features), mlp).data
-    got_b = saca_b(ad.constant(features), mlp).data
+    got_a = saca_a(ad.constant(features), layers).data
+    got_b = saca_b(ad.constant(features), layers).data
 
     pre_a = np.zeros_like(features)
     pre_b = np.zeros_like(features)

@@ -151,7 +151,6 @@ def _loss_through(op):
         ad.cumsum_rows,
         lambda x: ad.elementwise_mul(x, x),
         lambda x: ad.matmul(x, ad.constant(np.linspace(-1, 1, 16).reshape(4, 4))),
-        lambda x: ad.gather_rows(x, [2, 0, 1, 1, 3]),
     ],
 )
 def test_op_gradients_fd(op):
@@ -189,17 +188,6 @@ def test_max_pool_prefix_gradient_routing_matches_loop_oracle(x):
     assert np.array_equal(xt.grad, expect)
 
 
-def test_segment_sum_gradient_fd():
-    rng = np.random.default_rng(8)
-    x0 = rng.normal(size=(6, 4))
-    ids = [0, 1, 1, 2, 2, 2]
-
-    def loss(x):
-        return ad.cross_entropy_from_logits(ad.segment_sum_rows(x, ids, 3), [0, 1, 2])
-
-    fd_input_check(loss, x0)
-
-
 def test_add_bias_gradient_fd():
     rng = np.random.default_rng(9)
     b0 = rng.normal(size=(1, 5))
@@ -223,6 +211,13 @@ def test_unused_parameter_gets_zero_gradient():
     grads = ad.collect_gradients({"used": used, "unused": unused})
     assert np.array_equal(grads["unused"], np.zeros((2, 2)))
     assert np.any(grads["used"] != 0)
+
+
+def test_gradient_handed_to_two_parents_is_not_shared():
+    # add hands one array to both parents; a later += into one must not reach the other
+    a, b = t([[1.0]]), t([[2.0]])
+    ad.backward(ad.add(ad.add(a, b), a))
+    assert a.grad[0, 0] == 2.0 and b.grad[0, 0] == 1.0
 
 
 def test_linear_layer_closed_form_gradient():

@@ -14,8 +14,8 @@ from pointgen import cli
 from pointgen.autodiff import AdamState
 from pointgen.config import parse_config
 from pointgen.context import ContextOpKind
-from pointgen.data import load_xyz, save_xyz
-from pointgen.errors import CheckpointError, ConfigError
+from pointgen.data import load_xyz, quantize, save_xyz
+from pointgen.errors import CheckpointError, ConfigError, NonFiniteLossError
 from pointgen.model import Model, ModelConfig
 
 
@@ -164,6 +164,46 @@ def test_resume_in_place_rewrites_loss_log_from_its_step(tmp_path, raw_dir):
         "train", "--config", str(cfg), "--checkpoint", str(run / "ckpt_000010.pgrw"),
     ]) == 0
     assert (run / "loss.csv").read_bytes() == uninterrupted
+
+
+def test_resume_with_a_nan_parameter_exits_2_and_keeps_earlier_files(tmp_path, raw_dir, capsys):
+    ds = prepare_dataset(tmp_path, raw_dir)
+    run = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    write_train_config(cfg, ds / "manifest.json", run, steps=20)
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    model, state, step = ckpt.load_checkpoint(run / "ckpt_000010.pgrw")
+    model.params["z.head1.b"].data[0, 0] = np.nan  # a logit bias: no relu masks it
+    bad = tmp_path / "bad.pgrw"
+    ckpt.save_checkpoint(bad, model, state, step)
+    (run / "ckpt_final.pgrw").unlink()
+    kept = {p.name: p.read_bytes() for p in run.iterdir()}
+    rows = kept["loss.csv"].decode().splitlines(keepends=True)
+
+    capsys.readouterr()
+    write_train_config(cfg, ds / "manifest.json", run, steps=10)
+    assert cli.main(["train", "--config", str(cfg), "--checkpoint", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "step 11" in err and "nan" in err and "Traceback" not in err
+    assert not (run / "ckpt_final.pgrw").exists()
+    assert {p.name for p in run.iterdir()} == set(kept)
+    for name in ("ckpt_000010.pgrw", "ckpt_000020.pgrw"):
+        assert (run / name).read_bytes() == kept[name]
+    assert (run / "loss.csv").read_text() == "".join(rows[:11])
+
+    # the step raises before backward or Adam touch the parameters or the moments
+    model, state, _ = ckpt.load_checkpoint(bad)
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    moments = {k: (state.m[k].copy(), state.v[k].copy()) for k in state.m}
+    batch = [quantize(load_xyz(ds / name), 16) for name in ("a.xyz", "b.xyz")]
+    with pytest.raises(NonFiniteLossError):
+        model.train_step(state, batch, 0.003)
+    assert state.t == 10
+    for k, p in model.params.items():
+        assert p.grad is None
+        assert np.array_equal(p.data, before[k], equal_nan=True)
+        assert np.array_equal(state.m[k], moments[k][0])
+        assert np.array_equal(state.v[k], moments[k][1])
 
 
 def test_checkpoint_roundtrip_bit_identical(tmp_path):

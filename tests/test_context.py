@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import pointgen.autodiff as ad
+import pointgen.context as context
 from helpers import finite_difference_check
 from pointgen.context import (
     ContextOpKind,
@@ -30,18 +33,10 @@ def np_mlp(weights, x):
     return x
 
 
-def ad_mlp(weights):
+def ad_layers(weights):
+    """The attention layers (W, b, no h @ H term) of [W1, b1, W2, b2]."""
     tensors = [t(w, grad=True) for w in weights]
-
-    def run(x):
-        n_layers = len(tensors) // 2
-        for k in range(n_layers):
-            x = ad.add_bias(ad.matmul(x, tensors[2 * k]), tensors[2 * k + 1])
-            if k < n_layers - 1:
-                x = ad.relu(x)
-        return x
-
-    return run, tensors
+    return [(tensors[0], tensors[1], None), (tensors[2], tensors[3], None)], tensors
 
 
 def random_mlp(rng, f):
@@ -147,9 +142,9 @@ def test_shift_context_is_linear():
 
 def test_saca_a_hand_example():
     f = 2
-    run, _ = ad_mlp(selector_mlp(f))
+    layers, _ = ad_layers(selector_mlp(f))
     features = t([[1.0, 1.0], [2.0, 2.0]])
-    out = saca_a(features, run)
+    out = saca_a(features, layers)
     # pre-shift rows are [[1,1],[4,4]]; shifted leaves [[0,0],[1,1]]
     assert np.allclose(out.data, [[0, 0], [1, 1]], atol=1e-12)
 
@@ -157,9 +152,9 @@ def test_saca_a_hand_example():
 def test_saca_b_hand_example():
     f = 2
     weights = selector_mlp(f)
-    run, _ = ad_mlp(weights)
+    layers, _ = ad_layers(weights)
     features = np.array([[1.0, 1.0], [2.0, 2.0]])
-    out = saca_b(t(features), run)
+    out = saca_b(t(features), layers)
     assert np.allclose(out.data, [[0, 0], [1, 1]], atol=1e-12)
     # pre-shift second row differs from variant A: 4.5 vs 4.0
     pre = oracle_saca_b(features, weights)
@@ -186,31 +181,31 @@ def test_saca_matches_double_loop_oracle(variant):
     f = 4
     features = rng.normal(size=(8, f))
     weights = random_mlp(rng, f)
-    run, _ = ad_mlp(weights)
+    layers, _ = ad_layers(weights)
     if variant == "a":
-        got = saca_a(t(features), run).data
+        got = saca_a(t(features), layers).data
         expect = oracle_saca_a(features, weights)
     else:
-        got = saca_b(t(features), run).data
+        got = saca_b(t(features), layers).data
         expect = oracle_saca_b(features, weights)
     assert np.allclose(got, expect, atol=1e-12)
 
 
 def test_saca_single_row_is_zero():
     rng = np.random.default_rng(4)
-    run, _ = ad_mlp(random_mlp(rng, 3))
+    layers, _ = ad_layers(random_mlp(rng, 3))
     features = t(rng.normal(size=(1, 3)))
-    assert np.array_equal(saca_a(features, run).data, np.zeros((1, 3)))
-    assert np.array_equal(saca_b(features, run).data, np.zeros((1, 3)))
+    assert np.array_equal(saca_a(features, layers).data, np.zeros((1, 3)))
+    assert np.array_equal(saca_b(features, layers).data, np.zeros((1, 3)))
 
 
 def test_saca_variants_agree_on_second_row():
     # both context rows 2 equal f_1 * mlp(f_1 ++ f_1-mean), identical weights
     rng = np.random.default_rng(5)
-    run, _ = ad_mlp(random_mlp(rng, 3))
+    layers, _ = ad_layers(random_mlp(rng, 3))
     features = t(rng.normal(size=(5, 3)))
-    a = saca_a(features, run).data
-    b = saca_b(features, run).data
+    a = saca_a(features, layers).data
+    b = saca_b(features, layers).data
     assert np.array_equal(a[0], b[0])
     assert np.allclose(a[1], b[1], atol=1e-12)
 
@@ -220,9 +215,9 @@ def test_apply_context_dispatch():
     assert np.array_equal(out.data, [[0, 0], [2, 4]])
     rng = np.random.default_rng(6)
     for kind in ContextOpKind:
-        run, _ = ad_mlp(random_mlp(rng, 3))
-        mlp = run if kind.needs_mlp else None
-        single = apply_context(kind, t(rng.normal(size=(1, 3))), mlp)
+        layers, _ = ad_layers(random_mlp(rng, 3))
+        single = apply_context(kind, t(rng.normal(size=(1, 3))),
+                               layers if kind.needs_mlp else None)
         assert np.array_equal(single.data, np.zeros((1, 3)))
 
 
@@ -242,9 +237,8 @@ def test_causality_rows_depend_only_on_earlier_rows(kind):
     features = rng.normal(size=(6, 3))
 
     def run_all(feat):
-        run, _ = ad_mlp(weights)
-        mlp = run if kind.needs_mlp else None
-        return apply_context(kind, t(feat), mlp).data
+        layers, _ = ad_layers(weights)
+        return apply_context(kind, t(feat), layers if kind.needs_mlp else None).data
 
     base = run_all(features)
     for i in range(6):
@@ -260,12 +254,85 @@ def test_saca_gradients_fd(variant):
     f = 3
     weights = random_mlp(rng, f)
     feat0 = rng.normal(size=(5, f))
-    run, tensors = ad_mlp(weights)
+    layers, tensors = ad_layers(weights)
     params = {f"w{k}": w for k, w in enumerate(tensors)}
     params["features"] = ad.Tensor(feat0, requires_grad=True)
 
     def loss():
-        out = variant(params["features"], run)
+        out = variant(params["features"], layers)
         return ad.cross_entropy_from_logits(out, [0, 1, 2, 0, 1])
 
     finite_difference_check(loss, params)
+
+
+# ---------------------------------------------------------------------------
+# saca-b's fused op: query-row blocks and h @ H terms
+
+
+def conditioned_layers(rng, f, d=2):
+    """Attention layer tensors with an h @ H term on both layers, and the
+    [W1, b1 + h H1, W2, b2 + h H2] weights the numpy oracles take."""
+    weights = random_mlp(rng, f)
+    h = ad.constant(rng.normal(size=(1, d)))
+    tensors = [t(w, grad=True) for w in weights]
+    hs = [t(rng.normal(size=(d, f)), grad=True) for _ in range(2)]
+    layers = [(tensors[0], tensors[1], ad.matmul(h, hs[0])),
+              (tensors[2], tensors[3], ad.matmul(h, hs[1]))]
+    folded = [weights[0], weights[1] + h.data @ hs[0].data,
+              weights[2], weights[3] + h.data @ hs[1].data]
+    params = {f"w{k}": w for k, w in enumerate(tensors)} | {"H0": hs[0], "H1": hs[1]}
+    return layers, folded, params, h
+
+
+def small_blocks(monkeypatch, n, f):
+    """Lower saca-b's block budget so an n-row cloud of width f spans >= 3 blocks."""
+    monkeypatch.setattr(context, "SACA_B_BLOCK", 12 * f)
+    blocks = context._row_blocks(n, f)
+    assert len(blocks) >= 3
+    return blocks
+
+
+def test_saca_b_blocks_match_double_loop_oracle(monkeypatch):
+    rng = np.random.default_rng(11)
+    n, f = 9, 4
+    small_blocks(monkeypatch, n, f)
+    features = rng.normal(size=(n, f))
+    layers, folded, _, _ = conditioned_layers(rng, f)
+    got = saca_b(t(features), layers).data
+    assert np.allclose(got, oracle_saca_b(features, folded), atol=1e-12)
+
+
+def test_saca_b_blocks_gradients_fd(monkeypatch):
+    rng = np.random.default_rng(12)
+    n, f = 9, 3
+    small_blocks(monkeypatch, n, f)
+    layers, _, params, h = conditioned_layers(rng, f)
+    params["features"] = ad.Tensor(rng.normal(size=(n, f)), requires_grad=True)
+
+    def loss():
+        # rebuild the h @ H rows so finite differences of H reach them
+        hh = [ad.matmul(h, params["H0"]), ad.matmul(h, params["H1"])]
+        fresh = [(w, b, hh[k]) for k, (w, b, _) in enumerate(layers)]
+        out = saca_b(params["features"], fresh)
+        return ad.cross_entropy_from_logits(out, [0, 1, 2, 0, 1, 2, 0, 1, 2])
+
+    finite_difference_check(loss, params)
+
+
+def test_saca_b_peak_memory_is_below_half_a_pair_matrix():
+    # the old chain held several (n(n+1)/2, f) matrices: 2716 MiB here
+    rng = np.random.default_rng(13)
+    n, f = 1024, 32
+    features = t(rng.normal(size=(n, f)), grad=True)
+    layers, _ = ad_layers([w * 0.2 for w in random_mlp(rng, f)])
+    pair_matrix = n * (n + 1) // 2 * f * 8
+    tracemalloc.start()
+    try:
+        out = saca_b(features, layers)
+        ad.backward(ad.matmul(ad.matmul(ad.constant(np.ones((1, n))), out),
+                              ad.constant(np.ones((f, 1)))))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert features.grad is not None and np.isfinite(features.grad).all()
+    assert peak < pair_matrix / 2
