@@ -107,20 +107,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, (a, b), backward)
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Broadcast-add a 1-row bias to every row of x."""
-    if b.rows != 1 or b.cols != x.cols:
-        raise ShapeMismatchError(f"add_bias: x {x.shape}, b {b.shape}")
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0, keepdims=True))
-
-    return _make(x.data + b.data, (x, b), backward)
-
-
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
 
@@ -131,15 +117,31 @@ def scale(x: Tensor, s: float) -> Tensor:
     return _make(x.data * s, (x,), backward)
 
 
-def relu(x: Tensor) -> Tensor:
-    """Entrywise max(0, .); subgradient 0 at exactly 0."""
-    mask = x.data > 0.0
+def dense_forward(x: np.ndarray, w: np.ndarray, bias: np.ndarray, relu: bool) -> np.ndarray:
+    """One fully connected layer on plain arrays: x @ w plus the 1-row bias
+    in every row, then max(0, .) when relu is set (NaN maps to 0)."""
+    pre = x @ w + bias
+    return np.where(pre > 0.0, pre, 0.0) if relu else pre
+
+
+def dense(x: Tensor, w: Tensor, bias: Tensor, relu: bool) -> Tensor:
+    """`dense_forward` as one op; the relu's subgradient is 0 at exactly 0.
+    The backward pass derives the gradients of x, w and the bias row from
+    one pre-activation gradient."""
+    if x.cols != w.rows or bias.shape != (1, w.cols):
+        raise ShapeMismatchError(f"dense: x {x.shape}, W {w.shape}, bias {bias.shape}")
+    out_data = dense_forward(x.data, w.data, bias.data, relu)
 
     def backward(g):
+        d_pre = g * (out_data > 0.0) if relu else g  # out > 0 exactly where pre > 0
         if x.requires_grad:
-            x._accumulate(g * mask)
+            x._accumulate(d_pre @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ d_pre)
+        if bias.requires_grad:
+            bias._accumulate(d_pre.sum(axis=0, keepdims=True))
 
-    return _make(np.where(mask, x.data, 0.0), (x,), backward)
+    return _make(out_data, (x, w, bias), backward)
 
 
 def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:

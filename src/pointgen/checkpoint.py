@@ -145,21 +145,26 @@ def _read_tensors(fh, table, kind: str) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _model(config: ModelConfig, params: dict[str, np.ndarray]) -> Model:
-    return Model(config, {name: Tensor(arr, requires_grad=True) for name, arr in params.items()})
+def _open(path):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot open checkpoint ({exc.strerror})") from exc
 
 
 def load_model(path) -> Model:
-    """The model of a checkpoint; its optimizer moments are checked in the
-    table but not read."""
-    with open(path, "rb") as fh:
+    """The model of a checkpoint, for inference: its parameters record no
+    tape. The optimizer moments are checked in the table but not read."""
+    with _open(path) as fh:
         config, _, table = _read_header(fh, path)
-        return _model(config, _read_tensors(fh, table, "param"))
+        params = _read_tensors(fh, table, "param")
+    return Model(config, {name: Tensor(arr) for name, arr in params.items()})
 
 
 def load_checkpoint(path) -> tuple[Model, AdamState, int]:
     """Model, optimizer state and step of a checkpoint, for resuming training."""
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         config, header, table = _read_header(fh, path)
         params, m, v = (_read_tensors(fh, table, kind) for kind in KINDS)
-    return _model(config, params), AdamState(m=m, v=v, t=header["adam_t"]), header["step"]
+    params = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
+    return Model(config, params), AdamState(m=m, v=v, t=header["adam_t"]), header["step"]

@@ -41,23 +41,33 @@ def _model_config(cfg: RunConfig) -> ModelConfig:
 
 
 def _load_manifest_dataset(manifest_path, conditions_path="") -> Dataset:
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
     root = os.path.dirname(os.path.abspath(manifest_path))
-    clouds = []
-    for name in manifest["files"]:
-        pts = pcd.load_xyz(os.path.join(root, name))
-        clouds.append(pcd.quantize(pts, manifest["bins"]))
-    conditions = None
-    if conditions_path:
-        conditions = np.loadtxt(conditions_path, delimiter=",", ndmin=2)
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        clouds = [pcd.quantize(pcd.load_xyz(os.path.join(root, name)), manifest["bins"])
+                  for name in manifest["files"]]
+    except (OSError, KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"{manifest_path}: unreadable or malformed manifest ({exc!r})") from exc
+    conditions = _read_conditions(conditions_path) if conditions_path else None
     return Dataset(clouds=clouds, conditions=conditions)
+
+
+def _read_conditions(path) -> np.ndarray:
+    """The condition vectors of a CSV file, one per row."""
+    try:
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path}: unreadable condition CSV ({exc})") from exc
+    if rows.size == 0:
+        raise InputError(f"{path}: no condition vectors")
+    return rows
 
 
 def _condition_from_args(args, model: Model):
     cond = None
     if getattr(args, "condition_file", None):
-        cond = np.loadtxt(args.condition_file, delimiter=",", ndmin=2)[0]
+        cond = _read_conditions(args.condition_file)[0]
     elif getattr(args, "klass", None) is not None:
         if args.classes is None:
             raise ConfigError("--class requires --classes")

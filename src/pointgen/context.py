@@ -30,7 +30,7 @@ class ContextOpKind(enum.Enum):
         return self in (ContextOpKind.SACA_A, ContextOpKind.SACA_B)
 
 
-LayerTensors = tuple[Tensor, Tensor, Tensor | None]  # W, b and h @ H of one layer
+LayerTensors = tuple[Tensor, Tensor]  # W and bias row (b, or b + h @ H) of one layer
 
 # Pair elements (pairs x feature width) that one block of saca-b query rows may
 # hold: bounds the op's working memory whatever the cloud size.
@@ -45,12 +45,8 @@ def saca_a(features: Tensor, layers: list[LayerTensors]) -> Tensor:
     the given layers with a relu between them.
     """
     weights = ad.concat_cols(ad.mean_pool_prefix(features), features)
-    for k, (w, b, hh) in enumerate(layers):
-        weights = ad.add_bias(ad.matmul(weights, w), b)
-        if hh is not None:
-            weights = ad.add_bias(weights, hh)
-        if k < len(layers) - 1:
-            weights = ad.relu(weights)
+    for k, (w, bias) in enumerate(layers):
+        weights = ad.dense(weights, w, bias, relu=k < len(layers) - 1)
     if weights.cols != features.cols:
         raise ShapeMismatchError(
             f"attention mlp output width {weights.cols} != feature width {features.cols}"
@@ -97,13 +93,13 @@ def _shared_prefix_attention(features: Tensor, pooled: Tensor,
     """Unshifted saca-b context as one op with a hand-written backward.
 
     The first layer splits as W1 = [Wp; Wf], so the pre-activation of pair
-    (i, m) is A[i] + B[m] with A = pooled Wp + b1 (+ h H1) and B = f Wf.
+    (i, m) is A[i] + B[m] with A = pooled Wp + bias row 1 and B = f Wf.
     Pairs are formed block by block over query rows, in the forward pass
     and again in the backward pass, in buffers reused from block to block,
     so memory stays O(n f + SACA_B_BLOCK) and only A and B are kept
     between the two passes.
     """
-    (w1, b1, hh1), (w2, b2, hh2) = layers
+    (w1, b1), (w2, b2) = layers
     n, width = features.shape
     f = features.data
     if w1.shape != (2 * width, width) or w2.shape != (width, width):
@@ -112,8 +108,6 @@ def _shared_prefix_attention(features: Tensor, pooled: Tensor,
         )
     wp, wf = w1.data[:width], w1.data[width:]
     a = pooled.data @ wp + b1.data
-    if hh1 is not None:
-        a += hh1.data
     b = f @ wf
     blocks = _row_blocks(n, width)
     size = max((i1 * (i1 + 1) - i0 * (i0 + 1)) // 2 for i0, i1 in blocks)
@@ -123,11 +117,9 @@ def _shared_prefix_attention(features: Tensor, pooled: Tensor,
         with their attention weights."""
         np.take(a, rows, axis=0, out=hidden, mode="clip")
         hidden += np.take(b, keys, axis=0, out=tmp, mode="clip")
-        np.fmax(hidden, 0.0, out=hidden)  # relu that maps NaN to 0, as ad.relu does
+        np.fmax(hidden, 0.0, out=hidden)  # relu that maps NaN to 0, as ad.dense does
         np.matmul(hidden, w2.data, out=weights)
         weights += b2.data
-        if hh2 is not None:
-            weights += hh2.data
 
     out = np.empty_like(f)
     buffers = [np.empty((size, width)) for _ in range(3)]
@@ -167,16 +159,14 @@ def _shared_prefix_attention(features: Tensor, pooled: Tensor,
             df[:i1] += np.add.reduceat(np.take(d_keys, by_key, axis=0, out=d_weights, mode="clip"),
                                        key_starts, axis=0)
         df += db @ wf.T
-        db1 = da.sum(axis=0, keepdims=True)
         grads = [(features, df), (pooled, da @ wp.T),
                  (w1, np.vstack([pooled.data.T @ da, f.T @ db])),
-                 (b1, db1), (hh1, db1), (w2, dw2), (b2, db2), (hh2, db2)]
+                 (b1, da.sum(axis=0, keepdims=True)), (w2, dw2), (b2, db2)]
         for t, grad in grads:
-            if t is not None and t.requires_grad:
+            if t.requires_grad:
                 t._accumulate(grad)
 
-    parents = [t for t in (features, pooled, w1, b1, hh1, w2, b2, hh2) if t is not None]
-    return ad._make(out, parents, backward)
+    return ad._make(out, (features, pooled, w1, b1, w2, b2), backward)
 
 
 def apply_context(kind: ContextOpKind, features: Tensor,

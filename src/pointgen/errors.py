@@ -32,4 +32,5 @@ class CheckpointError(ValueError):
 
 
 class NonFiniteLossError(ValueError):
-    """A training step's loss is NaN or infinite; no state was updated."""
+    """A training step met a NaN or infinite parameter or loss; no state was
+    updated."""

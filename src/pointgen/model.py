@@ -6,8 +6,9 @@ the context path (causality comes from the context shift), encodes a
 masked copy of the current point, and scores B bins per coordinate from
 the concatenation of shifted context and masked-point features.
 
-A condition vector h, when configured, contributes an additive per-layer
-bias H @ h in every fully-connected layer.
+A condition vector h, when configured, adds h @ H to the bias row b of
+every fully connected layer: b + h @ H is formed once per layer and
+cloud, before it is broadcast over the rows (`autodiff.dense`).
 """
 
 from __future__ import annotations
@@ -145,19 +146,14 @@ def build_branch_inputs(q: QuantizedPointCloud) -> dict[str, tuple[np.ndarray, n
     return {"z": (coords, masked_z), "y": (coords, masked_y), "x": (coords, masked_x)}
 
 
-Layer = tuple[np.ndarray, np.ndarray, np.ndarray | None]  # W, b and h @ H of one layer
-
-
-def dense_block(x: np.ndarray, layers: list[Layer], final_linear: bool) -> np.ndarray:
-    """`Model._apply_block` on plain arrays, without a tape: the same
-    products and sums in the same order. A product of one row can still
-    differ from that row of a larger product in the last bits (BLAS)."""
-    for k, (w, b, hh) in enumerate(layers):
-        pre = x @ w + b
-        if hh is not None:
-            pre = pre + hh
-        last = k == len(layers) - 1
-        x = pre if (last and final_linear) else np.where(pre > 0.0, pre, 0.0)
+def apply_block(layer, layers: list, x, final_linear: bool, collect: list | None = None):
+    """Run x through one block's (W, bias row) layers with `layer`: `ad.dense`
+    on tensors, or `ad.dense_forward` on the plain arrays of the sampler.
+    Every layer but, with final_linear, the last ends in a relu."""
+    for k, (w, bias) in enumerate(layers):
+        x = layer(x, w, bias, relu=not (final_linear and k == len(layers) - 1))
+        if collect is not None:
+            collect.append(x)
     return x
 
 
@@ -171,38 +167,18 @@ class Model:
     # -- layer application ---------------------------------------------------
 
     def _layers(self, branch: str, block: str, h: Tensor | None) -> list[LayerTensors]:
-        """The (W, b, h @ H) tensors of each layer of one block; h @ H is
-        None for an unconditional model."""
+        """The (W, bias row) of each layer of one block. The bias row is b,
+        or b + h @ H for a conditional model, formed once per call."""
         dims = {"enc": self.config.encoder_dims, "att": self.config.attention_dims,
                 "head": self.config.head_dims}[block]()
         layers = []
         for k in range(len(dims)):
             name = f"{branch}.{block}{k}"
-            hh = None if h is None else ad.matmul(h, self.params[f"{name}.H"])
-            layers.append((self.params[f"{name}.W"], self.params[f"{name}.b"], hh))
+            bias = self.params[f"{name}.b"]
+            if h is not None:
+                bias = ad.add(bias, ad.matmul(h, self.params[f"{name}.H"]))
+            layers.append((self.params[f"{name}.W"], bias))
         return layers
-
-    @staticmethod
-    def _apply_block(layers: list[LayerTensors], x: Tensor, final_linear: bool,
-                     collect: list[Tensor] | None = None) -> Tensor:
-        for k, (w, b, hh) in enumerate(layers):
-            pre = ad.add_bias(ad.matmul(x, w), b)
-            if hh is not None:
-                pre = ad.add_bias(pre, hh)
-            x = pre if (k == len(layers) - 1 and final_linear) else ad.relu(pre)
-            if collect is not None:
-                collect.append(x)
-        return x
-
-    def layer_arrays(self, branch: str, block: str, h: np.ndarray | None) -> list[Layer]:
-        """The layers of one block as `dense_block` takes them; h is the
-        (1, condition_dim) condition row or None."""
-        layers = self._layers(branch, block, None if h is None else ad.constant(h))
-        return [(w.data, b.data, None if hh is None else hh.data) for w, b, hh in layers]
-
-    def _encode(self, branch, rows: np.ndarray, h, collect=None) -> Tensor:
-        return self._apply_block(self._layers(branch, "enc", h), ad.constant(rows),
-                                 final_linear=False, collect=collect)
 
     def _condition_tensor(self, condition) -> Tensor | None:
         d = self.config.condition_dim
@@ -242,13 +218,16 @@ class Model:
         out = {}
         for branch in BRANCHES:
             ctx_rows, masked_rows = inputs[branch]
+            encoder = self._layers(branch, "enc", h)
             acts: list[Tensor] = []
-            features = self._encode(branch, ctx_rows, h, collect=acts)
+            features = apply_block(ad.dense, encoder, ad.constant(ctx_rows), final_linear=False,
+                                   collect=acts)
             layers = self._layers(branch, "att", h) if mlp_needed else None
             context = apply_context(self.config.context, features, layers)
-            masked_feat = self._encode(branch, masked_rows, h)
-            logits = self._apply_block(self._layers(branch, "head", h),
-                                       ad.concat_cols(context, masked_feat), final_linear=True)
+            masked_feat = apply_block(ad.dense, encoder, ad.constant(masked_rows),
+                                      final_linear=False)
+            logits = apply_block(ad.dense, self._layers(branch, "head", h),
+                                 ad.concat_cols(context, masked_feat), final_linear=True)
             out[branch] = logits
             if intermediates is not None:
                 intermediates[branch] = {
@@ -289,7 +268,8 @@ class Model:
 
         Returns (mean nats per coordinate, mean bits per coordinate).
         Raises NonFiniteLossError, with parameters and Adam state untouched,
-        when the loss is NaN or infinite.
+        when a parameter (checked before the forward pass) or the loss is NaN
+        or infinite.
         """
         if not batch:
             raise InputError("train_step: empty batch")
@@ -297,6 +277,10 @@ class Model:
             raise InputError("train_step: inconsistent bin count in batch")
         if conditions is not None and len(conditions) != len(batch):
             raise InputError("train_step: one condition per cloud required")
+        for name, p in self.params.items():
+            finite = np.isfinite(p.data)
+            if not finite.all():
+                raise NonFiniteLossError(f"parameter {name} holds {p.data[~finite][0]}")
         total = None
         for j, q in enumerate(batch):
             cond = conditions[j] if conditions is not None else None

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tensor, dense_forward
 from .context import ContextOpKind
 from .data import QuantizedPointCloud, dequantize
 from .errors import InputError, ShapeMismatchError
-from .model import BRANCHES, Model, build_branch_inputs, dense_block
+from .model import BRANCHES, Model, apply_block, build_branch_inputs
 
 
 @dataclass
@@ -69,11 +70,13 @@ class _BranchCache:
     prefix mean. Running sums add rows in np.cumsum's order.
     """
 
-    def __init__(self, model: Model, branch: str, h: np.ndarray | None, n: int):
+    def __init__(self, model: Model, branch: str, h: Tensor | None, n: int):
+        def arrays(block):
+            return [(w.data, bias.data) for w, bias in model._layers(branch, block, h)]
+
         self.kind = model.config.context
-        self.enc = model.layer_arrays(branch, "enc", h)
-        self.att = model.layer_arrays(branch, "att", h) if self.kind.needs_mlp else None
-        self.head = model.layer_arrays(branch, "head", h)
+        self.enc, self.head = arrays("enc"), arrays("head")
+        self.att = arrays("att") if self.kind.needs_mlp else None
         self.features = np.empty((n, model.config.feature_width))
         if self.kind is ContextOpKind.SACA_B:
             # first attention layer split as in context.saca_b: W = [Wp; Wf]
@@ -83,14 +86,15 @@ class _BranchCache:
         self.running = None  # ca-max: running max; saca-a: running sum of f_m * w_m
 
     def observe(self, point: np.ndarray) -> None:
-        f = dense_block(point, self.enc, final_linear=False)
+        f = apply_block(dense_forward, self.enc, point, final_linear=False)
         self.features[self.count] = f
         self.count += 1
         self.total = f if self.total is None else self.total + f
         if self.kind is ContextOpKind.CA_MAX:
             self.running = f if self.running is None else np.maximum(self.running, f)
         elif self.kind is ContextOpKind.SACA_A:
-            w = dense_block(np.hstack([self.total / self.count, f]), self.att, final_linear=True)
+            w = apply_block(dense_forward, self.att, np.hstack([self.total / self.count, f]),
+                            final_linear=True)
             self.running = f * w if self.running is None else self.running + f * w
         elif self.kind is ContextOpKind.SACA_B:
             self.key_terms[self.count - 1] = f @ self.att[0][0][f.shape[1]:]
@@ -102,20 +106,18 @@ class _BranchCache:
             return self.total / self.count
         if self.kind is ContextOpKind.SACA_B:
             f = self.features[: self.count]
-            (w1, b1, hh1), second = self.att
-            query = (self.total / self.count) @ w1[: f.shape[1]] + b1
-            if hh1 is not None:
-                query += hh1
-            pre = query + self.key_terms[: self.count]
-            w = dense_block(np.where(pre > 0.0, pre, 0.0), [second], final_linear=True)
+            (w1, b1), (w2, b2) = self.att
+            pre = (self.total / self.count) @ w1[: f.shape[1]] + b1 + self.key_terms[: self.count]
+            w = dense_forward(np.where(pre > 0.0, pre, 0.0), w2, b2, relu=False)
             # reduceat, as in context.saca_b: it does not add row by row like np.add.reduce
             return np.add.reduceat(f * w, [0], axis=0)
         return self.running
 
     def logits(self, masked: np.ndarray) -> np.ndarray:
         """Logits of the next point from its masked (1, 3) input row."""
-        m = dense_block(masked, self.enc, final_linear=False)
-        return dense_block(np.hstack([self.context(), m]), self.head, final_linear=True)[0]
+        m = apply_block(dense_forward, self.enc, masked, final_linear=False)
+        return apply_block(dense_forward, self.head, np.hstack([self.context(), m]),
+                           final_linear=True)[0]
 
 
 def generate(model: Model, settings: SamplerSettings) -> QuantizedPointCloud:
@@ -133,8 +135,7 @@ def generate(model: Model, settings: SamplerSettings) -> QuantizedPointCloud:
     prefix = settings.prefix
     if prefix is not None and prefix.bin_count != cfg.bins:
         raise InputError("generate: prefix bin count differs from model")
-    condition = model._condition_tensor(settings.condition)
-    h = None if condition is None else condition.data
+    h = model._condition_tensor(settings.condition)
     caches = {branch: _BranchCache(model, branch, h, settings.n) for branch in BRANCHES}
     start = prefix.n if prefix is not None else 0
     bins = np.zeros((settings.n, 3), dtype=np.int64)

@@ -184,7 +184,7 @@ def test_criterion_6_oracle_equivalence():
         rng.normal(size=(f, f)), rng.normal(size=(1, f)),
     ]
     tensors = [ad.Tensor(w) for w in weights]
-    layers = [(tensors[0], tensors[1], None), (tensors[2], tensors[3], None)]
+    layers = [(tensors[0], tensors[1]), (tensors[2], tensors[3])]
 
     from pointgen.context import saca_a, saca_b
 

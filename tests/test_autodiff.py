@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pointgen.autodiff as ad
-from helpers import fd_input_check
+from helpers import fd_input_check, finite_difference_check
 from pointgen.errors import InputError, ShapeMismatchError
 
 
@@ -56,34 +56,80 @@ def test_matmul_shape_error():
 
 
 # ---------------------------------------------------------------------------
-# add_bias / relu / concat / mul
+# dense / concat / mul
 
 
-def test_add_bias_examples():
-    assert np.array_equal(ad.add_bias(t([[0, 0]]), t([[1, 2]])).data, [[1, 2]])
+def relu(x):
+    """max(0, x) as a dense layer with an identity weight and a zero bias."""
+    return ad.dense(x, ad.constant(np.eye(x.cols)), ad.constant(np.zeros((1, x.cols))),
+                    relu=True)
+
+
+def test_dense_bias_examples():
+    def biased(x, b):
+        return ad.dense(t(x), t(np.eye(2)), t(b), relu=False).data
+
+    assert np.array_equal(biased([[0, 0]], [[1, 2]]), [[1, 2]])
     x = np.array([[1.0, 1.0], [2.0, 2.0]])
-    assert np.array_equal(ad.add_bias(t(x), t([[0.0, 0.0]])).data, x)
-    assert np.array_equal(
-        ad.add_bias(t(x), t([[-1, 1]])).data, [[0, 2], [1, 3]]
-    )
+    assert np.array_equal(biased(x, [[0.0, 0.0]]), x)
+    assert np.array_equal(biased(x, [[-1, 1]]), [[0, 2], [1, 3]])
 
 
-def test_add_bias_shape_error():
-    with pytest.raises(ShapeMismatchError):
-        ad.add_bias(t(np.ones((2, 2))), t(np.ones((1, 3))))
+def test_dense_shape_error():
+    with pytest.raises(ShapeMismatchError):  # bias row wider than W's output
+        ad.dense(t(np.ones((2, 2))), t(np.eye(2)), t(np.ones((1, 3))), relu=False)
+    with pytest.raises(ShapeMismatchError):  # a bias of more than one row
+        ad.dense(t(np.ones((2, 2))), t(np.eye(2)), t(np.ones((2, 2))), relu=False)
+    with pytest.raises(ShapeMismatchError):  # x's width is not W's fan-in
+        ad.dense(t(np.ones((2, 3))), t(np.eye(2)), t(np.ones((1, 2))), relu=False)
 
 
 def test_relu_examples():
-    assert np.array_equal(ad.relu(t([[-1, 2]])).data, [[0, 2]])
+    assert np.array_equal(relu(t([[-1, 2]])).data, [[0, 2]])
     x = np.array([[0.5, 3.0]])
-    assert np.array_equal(ad.relu(t(x)).data, x)
+    assert np.array_equal(relu(t(x)).data, x)
+    nan_bias = ad.constant([[np.nan, 0.0]])
+    assert np.array_equal(ad.dense(t([[1.0, 1.0]]), t(np.eye(2)), nan_bias, relu=True).data,
+                          [[0.0, 1.0]])
 
 
 def test_relu_zero_has_zero_gradient():
     x = t([[0.0, 1.0]])
-    out = ad.relu(x)
+    out = relu(x)
     ad.backward(ad.cross_entropy_from_logits(out, [1]))
     assert x.grad[0, 0] == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(1, 5), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_dense_forward_is_the_plain_layer(rows, fan_in, fan_out, use_relu, seed):
+    # an unconditional layer: bit for bit x @ W + b, then the relu as np.where
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, fan_in))
+    w = rng.normal(size=(fan_in, fan_out))
+    b = rng.normal(size=(1, fan_out))
+    pre = x @ w + b
+    expect = np.where(pre > 0, pre, 0.0) if use_relu else pre
+    got = ad.dense(t(x), t(w), t(b), relu=use_relu).data
+    assert got.tobytes() == expect.tobytes()
+    assert ad.dense_forward(x, w, b, use_relu).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("use_relu", [False, True])
+def test_dense_gradients_fd(use_relu):
+    rng = np.random.default_rng(9)
+    params = {"x": t(rng.normal(size=(4, 3))), "w": t(rng.normal(size=(3, 5))),
+              "bias": t(rng.normal(size=(1, 5)))}
+
+    def loss():
+        out = ad.dense(params["x"], params["w"], params["bias"], relu=use_relu)
+        return ad.cross_entropy_from_logits(out, [0, 2, 4, 1])
+
+    if use_relu:  # keep every pre-activation away from the kink
+        pre = params["x"].data @ params["w"].data + params["bias"].data
+        assert np.abs(pre).min() > 1e-3
+    finite_difference_check(loss, params)
 
 
 def test_concat_cols():
@@ -144,7 +190,7 @@ def _loss_through(op):
 @pytest.mark.parametrize(
     "op",
     [
-        ad.relu,
+        relu,
         ad.mean_pool_prefix,
         ad.max_pool_prefix,
         ad.shift_down,
@@ -186,17 +232,6 @@ def test_max_pool_prefix_gradient_routing_matches_loop_oracle(x):
     for (i, j), row in np.ndenumerate(max_pool_argmax_loop(x)):
         expect[row, j] += g[i, j]
     assert np.array_equal(xt.grad, expect)
-
-
-def test_add_bias_gradient_fd():
-    rng = np.random.default_rng(9)
-    b0 = rng.normal(size=(1, 5))
-    x = ad.constant(rng.normal(size=(3, 5)))
-
-    def loss(b):
-        return ad.cross_entropy_from_logits(ad.add_bias(x, b), [0, 2, 4])
-
-    fd_input_check(loss, b0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +283,7 @@ def test_forward_determinism():
 def test_forward_output_finite():
     rng = np.random.default_rng(5)
     x = t(rng.normal(size=(4, 4)) * 100)
-    for op in (ad.relu, ad.mean_pool_prefix, ad.cumsum_rows):
+    for op in (relu, ad.mean_pool_prefix, ad.cumsum_rows):
         assert np.all(np.isfinite(op(x).data))
 
 

@@ -206,6 +206,27 @@ def test_resume_with_a_nan_parameter_exits_2_and_keeps_earlier_files(tmp_path, r
         assert np.array_equal(state.v[k], moments[k][1])
 
 
+def test_resume_with_a_nan_relu_masked_weight_exits_2(tmp_path, raw_dir, capsys):
+    # relu maps the NaN pre-activations of this weight to 0, so the loss stays finite
+    ds = prepare_dataset(tmp_path, raw_dir)
+    run = tmp_path / "run"
+    cfg = tmp_path / "run.cfg"
+    write_train_config(cfg, ds / "manifest.json", run, steps=10)
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    model, state, step = ckpt.load_checkpoint(run / "ckpt_final.pgrw")
+    model.params["z.enc0.W"].data[0, 0] = np.nan
+    bad = tmp_path / "bad.pgrw"
+    ckpt.save_checkpoint(bad, model, state, step)
+    (run / "ckpt_final.pgrw").unlink()
+
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg), "--checkpoint", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pointgen: ") and "Traceback" not in err
+    assert "step 11" in err and "z.enc0.W" in err and "nan" in err
+    assert not (run / "ckpt_final.pgrw").exists()
+
+
 def test_checkpoint_roundtrip_bit_identical(tmp_path):
     model = Model(ModelConfig(bins=16, feature_width=8, encoder_widths=(8,),
                               head_widths=(8,), context=ContextOpKind.SACA_A, seed=2))
@@ -453,6 +474,40 @@ def test_attention_command(tmp_path, raw_dir):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "index,distance"
     assert len(lines) == 33
+
+
+@pytest.mark.parametrize("case", [
+    "eval conditions not numeric", "eval conditions missing", "eval dataset missing",
+    "eval dataset not json", "generate checkpoint missing", "generate condition not numeric",
+])
+def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
+    ds = prepare_dataset(tmp_path, raw_dir)
+    cp = make_checkpoint(tmp_path, d=3)
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("1,0,0\n0,1,one\n0,0,1\n")
+    not_json = tmp_path / "manifest.json"
+    not_json.write_text('{"bins": 16, "files": [')
+    missing = tmp_path / "missing"
+    eval_cp = ["eval", "--checkpoint", str(cp)]
+    eval_ds = [*eval_cp, "--dataset", str(ds / "manifest.json")]
+    generate = ["generate", "--points", "4", "--out", str(tmp_path / "g")]
+    argv, named = {
+        "eval conditions not numeric": ([*eval_ds, "--conditions", str(bad_csv)], bad_csv),
+        "eval conditions missing": ([*eval_ds, "--conditions", f"{missing}.csv"],
+                                    f"{missing}.csv"),
+        "eval dataset missing": ([*eval_cp, "--dataset", f"{missing}.json"], f"{missing}.json"),
+        "eval dataset not json": ([*eval_cp, "--dataset", str(not_json)], not_json),
+        "generate checkpoint missing": (
+            [*generate, "--checkpoint", f"{missing}.pgrw", "--class", "0", "--classes", "3"],
+            f"{missing}.pgrw"),
+        "generate condition not numeric": (
+            [*generate, "--checkpoint", str(cp), "--condition-file", str(bad_csv)], bad_csv),
+    }[case]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pointgen: ") and str(named) in err and "Traceback" not in err
+    assert not (tmp_path / "g.ply").exists()
 
 
 def test_conditional_generate_requires_condition(tmp_path, capsys):

@@ -34,9 +34,9 @@ def np_mlp(weights, x):
 
 
 def ad_layers(weights):
-    """The attention layers (W, b, no h @ H term) of [W1, b1, W2, b2]."""
+    """The attention layers (W, bias row b) of [W1, b1, W2, b2]."""
     tensors = [t(w, grad=True) for w in weights]
-    return [(tensors[0], tensors[1], None), (tensors[2], tensors[3], None)], tensors
+    return [(tensors[0], tensors[1]), (tensors[2], tensors[3])], tensors
 
 
 def random_mlp(rng, f):
@@ -266,22 +266,25 @@ def test_saca_gradients_fd(variant):
 
 
 # ---------------------------------------------------------------------------
-# saca-b's fused op: query-row blocks and h @ H terms
+# saca-b's fused op: query-row blocks and conditioned bias rows
 
 
-def conditioned_layers(rng, f, d=2):
-    """Attention layer tensors with an h @ H term on both layers, and the
-    [W1, b1 + h H1, W2, b2 + h H2] weights the numpy oracles take."""
+def conditioned_layers(params, h):
+    """The attention layers (W, b + h @ H) of the tensors w0..w3, H0, H1."""
+    return [(params["w0"], ad.add(params["w1"], ad.matmul(h, params["H0"]))),
+            (params["w2"], ad.add(params["w3"], ad.matmul(h, params["H1"])))]
+
+
+def conditioned_params(rng, f, d=2):
+    """Attention weights with an H on both layers, the condition row h, and
+    the [W1, b1 + h H1, W2, b2 + h H2] weights the numpy oracles take."""
     weights = random_mlp(rng, f)
     h = ad.constant(rng.normal(size=(1, d)))
-    tensors = [t(w, grad=True) for w in weights]
-    hs = [t(rng.normal(size=(d, f)), grad=True) for _ in range(2)]
-    layers = [(tensors[0], tensors[1], ad.matmul(h, hs[0])),
-              (tensors[2], tensors[3], ad.matmul(h, hs[1]))]
-    folded = [weights[0], weights[1] + h.data @ hs[0].data,
-              weights[2], weights[3] + h.data @ hs[1].data]
-    params = {f"w{k}": w for k, w in enumerate(tensors)} | {"H0": hs[0], "H1": hs[1]}
-    return layers, folded, params, h
+    hs = [rng.normal(size=(d, f)) for _ in range(2)]
+    folded = [weights[0], weights[1] + h.data @ hs[0], weights[2], weights[3] + h.data @ hs[1]]
+    params = {f"w{k}": t(w, grad=True) for k, w in enumerate(weights)}
+    params |= {"H0": t(hs[0], grad=True), "H1": t(hs[1], grad=True)}
+    return params, h, folded
 
 
 def small_blocks(monkeypatch, n, f):
@@ -297,8 +300,8 @@ def test_saca_b_blocks_match_double_loop_oracle(monkeypatch):
     n, f = 9, 4
     small_blocks(monkeypatch, n, f)
     features = rng.normal(size=(n, f))
-    layers, folded, _, _ = conditioned_layers(rng, f)
-    got = saca_b(t(features), layers).data
+    params, h, folded = conditioned_params(rng, f)
+    got = saca_b(t(features), conditioned_layers(params, h)).data
     assert np.allclose(got, oracle_saca_b(features, folded), atol=1e-12)
 
 
@@ -306,14 +309,12 @@ def test_saca_b_blocks_gradients_fd(monkeypatch):
     rng = np.random.default_rng(12)
     n, f = 9, 3
     small_blocks(monkeypatch, n, f)
-    layers, _, params, h = conditioned_layers(rng, f)
+    params, h, _ = conditioned_params(rng, f)
     params["features"] = ad.Tensor(rng.normal(size=(n, f)), requires_grad=True)
 
     def loss():
-        # rebuild the h @ H rows so finite differences of H reach them
-        hh = [ad.matmul(h, params["H0"]), ad.matmul(h, params["H1"])]
-        fresh = [(w, b, hh[k]) for k, (w, b, _) in enumerate(layers)]
-        out = saca_b(params["features"], fresh)
+        # rebuild the bias rows so finite differences of b and H reach them
+        out = saca_b(params["features"], conditioned_layers(params, h))
         return ad.cross_entropy_from_logits(out, [0, 1, 2, 0, 1, 2, 0, 1, 2])
 
     finite_difference_check(loss, params)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_cloud
+from helpers import random_cloud, randomize_params
 from pointgen.autodiff import AdamState
+from pointgen.checkpoint import load_model, save_checkpoint
 from pointgen.context import ContextOpKind
 from pointgen.data import Dataset
 from pointgen.errors import InputError
@@ -88,6 +89,29 @@ def test_attention_distances_match_manual_recompute():
         assert np.isclose(amap.distances[j], np.linalg.norm(ctx - feats[j]))
     assert np.all(np.isinf(amap.distances[i + 1 :]))
     assert np.all(amap.distances[: i + 1] >= 0)
+
+
+def test_attention_of_a_loaded_model_records_no_tape(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    model = small_model(kind=ContextOpKind.SACA_B)
+    randomize_params(model, rng)
+    q = random_cloud(rng, 6, 16)
+    path = tmp_path / "m.pgrw"
+    save_checkpoint(path, model, AdamState.for_params(model.params), step=0)
+    seen = []
+    forward = Model.forward
+
+    def spy(self, *args, **kwargs):
+        seen.append(kwargs["intermediates"])
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", spy)
+    amap = attention_map(load_model(path), q, 3, "y")
+    (inter,) = seen
+    tensors = [t for branch in inter.values()
+               for t in (branch["features"], branch["context"], *branch["activations"])]
+    assert tensors and all(not t.requires_grad and not t._parents for t in tensors)
+    assert np.array_equal(amap.distances, attention_map(model, q, 3, "y").distances)
 
 
 def test_attention_bad_arguments():

@@ -8,7 +8,7 @@ from helpers import finite_difference_check, random_cloud, randomize_params
 from pointgen.autodiff import AdamState
 from pointgen.context import ContextOpKind
 from pointgen.data import QuantizedPointCloud, quantize
-from pointgen.errors import ConfigError, InputError
+from pointgen.errors import ConfigError, InputError, NonFiniteLossError
 from pointgen.model import Model, ModelConfig, build_branch_inputs
 
 
@@ -165,12 +165,16 @@ def test_perfect_prediction_loss_near_zero():
     assert result.total_nats < 1e-9
 
 
-def test_full_model_gradient_fd():
+@pytest.mark.parametrize("d", [0, 3])
+@pytest.mark.parametrize("kind", list(ContextOpKind), ids=lambda kind: kind.value)
+def test_full_model_gradient_fd(kind, d):
+    # with d = 3 this reaches every layer's H through its bias row b + h H
     rng = np.random.default_rng(10)
     q = random_cloud(rng, 8, 16)
-    model = Model(small_config(ContextOpKind.SACA_B))
+    model = Model(small_config(kind, d=d))
     randomize_params(model, np.random.default_rng(13))
-    finite_difference_check(lambda: model.cloud_nll(q).loss, model.params)
+    condition = rng.normal(size=d) if d else None
+    finite_difference_check(lambda: model.cloud_nll(q, condition).loss, model.params)
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +206,20 @@ def test_train_step_descends_for_most_seeds():
         after = model.cloud_nll(q).loss.item()
         wins += after < before
     assert wins >= 9
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_train_step_stops_on_a_non_finite_loss_of_finite_parameters():
+    # logits of +-1e308 overflow in the softmax: every parameter is finite, the loss is not
+    model = Model(small_config())
+    state = AdamState.for_params(model.params)
+    bias = model.params["z.head1.b"].data  # the logits, as the last head W is zero
+    bias[0] = -1e308
+    bias[0, 0] = 1e308
+    q = QuantizedPointCloud(np.ones((4, 3), dtype=np.int64), 16)
+    with pytest.raises(NonFiniteLossError, match="loss is inf"):
+        model.train_step(state, [q], lr=1e-3)
+    assert state.t == 0 and all(p.grad is None for p in model.params.values())
 
 
 def test_train_step_rejects_mixed_bins():
