@@ -5,11 +5,15 @@ Every value is a Tensor wrapping a row-major numpy array of shape
 a per-evaluation tape; backward() topologically sorts the tape and
 accumulates gradients into .grad. All arithmetic is 64-bit and
 deterministic: identical inputs produce bit-identical outputs.
+
+Training points each parameter's .grad at its slice of one zeroed flat
+gradient vector, so backward() adds straight into it; adam_step() reads
+it beside AdamState's flat moments, all three in parameter order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -293,57 +297,47 @@ def backward(loss: Tensor) -> None:
 # parameters and optimizer
 
 
-def collect_gradients(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Gradient per parameter; parameters untouched by the loss get zeros."""
-    return {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
-
-
-def zero_gradients(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None
+def flat_views(flat: np.ndarray, params: dict[str, Tensor]) -> list[np.ndarray]:
+    """One view of `flat` per parameter, in `params` order and shape."""
+    ends = np.cumsum([0] + [p.data.size for p in params.values()]).tolist()
+    return [flat[i:j].reshape(p.data.shape) for p, i, j in zip(params.values(), ends, ends[1:])]
 
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the shared step counter."""
+    """First/second moments, flat in parameter order, and the step counter."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p.data) for k, p in params.items()},
-            v={k: np.zeros_like(p.data) for k, p in params.items()},
-            t=0,
-        )
+        # one block, which numpy backs with huge pages from 4 MiB: fewer faults on first read
+        m, v = np.zeros((2, sum(p.data.size for p in params.values())))
+        return cls(m=m, v=v, t=0)
 
 
 def adam_step(
     params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
+    grad: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """In-place Adam update with bias correction."""
+    """In-place Adam update with bias correction from a flat gradient. It runs
+    per parameter: whole-vector temporaries would each be as large as the model."""
     if lr <= 0:
         raise InputError("adam_step: lr must be positive")
+    if grad.shape != state.m.shape:
+        raise ShapeMismatchError(f"adam_step: gradient {grad.shape}, moments {state.m.shape}")
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ShapeMismatchError(f"adam_step: gradient shape mismatch for {name}")
-        m = state.m[name]
-        v = state.v[name]
+    views = (flat_views(x, params) for x in (grad, state.m, state.v))
+    for p, g, m, v in zip(params.values(), *views):
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2

@@ -2,7 +2,8 @@
 
 Layout: magic b"PGRW", uint32 LE version, uint64 LE header length, a
 UTF-8 JSON header (config echo, step counters, named tensor table with
-offsets), then the concatenated row-major little-endian float64 payloads.
+offsets), then the row-major little-endian float64 payloads: the
+parameters, then Adam's flat m and v vectors, all in parameter order.
 Roundtrips are bit-exact, which training resumption relies on.
 """
 
@@ -29,20 +30,13 @@ KINDS = ("param", "adam_m", "adam_v")
 def save_checkpoint(path, model: Model, state: AdamState, step: int) -> None:
     """Write the checkpoint to `<path>.tmp` beside it, then rename it over
     `path`, so an interrupted write never leaves a truncated `path`."""
-    tensors: list[tuple[str, np.ndarray]] = []
-    for name, p in model.params.items():
-        tensors.append((f"param:{name}", p.data))
-    for name, m in state.m.items():
-        tensors.append((f"adam_m:{name}", m))
-    for name, v in state.v.items():
-        tensors.append((f"adam_v:{name}", v))
-
     table = []
     offset = 0
-    for name, arr in tensors:
-        table.append({"name": name, "rows": arr.shape[0], "cols": arr.shape[1],
-                      "offset": offset})
-        offset += arr.size * 8
+    for kind in KINDS:
+        for name, p in model.params.items():
+            table.append({"name": f"{kind}:{name}", "rows": p.data.shape[0],
+                          "cols": p.data.shape[1], "offset": offset})
+            offset += p.data.size * 8
 
     header = json.dumps({
         "config": model.config.to_dict(),
@@ -58,8 +52,8 @@ def save_checkpoint(path, model: Model, state: AdamState, step: int) -> None:
             fh.write(struct.pack("<I", VERSION))
             fh.write(struct.pack("<Q", len(header)))
             fh.write(header)
-            for _, arr in tensors:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            for arr in [p.data for p in model.params.values()] + [state.m, state.v]:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8"))  # no tobytes() copy
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -135,13 +129,14 @@ def _read_header(fh, path) -> tuple[ModelConfig, dict, dict[str, tuple[int, int,
     return config, header, table
 
 
-def _read_tensors(fh, table, kind: str) -> dict[str, np.ndarray]:
-    arrays = {}
-    for name, (rows, cols, off) in table.items():
-        if name.startswith(kind + ":"):
-            fh.seek(off)
-            raw = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-            arrays[name.partition(":")[2]] = raw.astype(np.float64).reshape(rows, cols)
+def _read_tensors(fh, table, kind: str, names) -> list[np.ndarray]:
+    """The tensors of one kind, in the order of `names`."""
+    arrays = []
+    for name in names:
+        rows, cols, off = table[f"{kind}:{name}"]
+        fh.seek(off)
+        raw = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
+        arrays.append(raw.astype(np.float64).reshape(rows, cols))
     return arrays
 
 
@@ -157,14 +152,18 @@ def load_model(path) -> Model:
     tape. The optimizer moments are checked in the table but not read."""
     with _open(path) as fh:
         config, _, table = _read_header(fh, path)
-        params = _read_tensors(fh, table, "param")
-    return Model(config, {name: Tensor(arr) for name, arr in params.items()})
+        names = config.parameter_shapes()
+        params = _read_tensors(fh, table, "param", names)
+    return Model(config, {name: Tensor(arr) for name, arr in zip(names, params)})
 
 
 def load_checkpoint(path) -> tuple[Model, AdamState, int]:
     """Model, optimizer state and step of a checkpoint, for resuming training."""
     with _open(path) as fh:
         config, header, table = _read_header(fh, path)
-        params, m, v = (_read_tensors(fh, table, kind) for kind in KINDS)
-    params = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
-    return Model(config, params), AdamState(m=m, v=v, t=header["adam_t"]), header["step"]
+        names = config.parameter_shapes()
+        params, m, v = (_read_tensors(fh, table, kind, names) for kind in KINDS)
+    model = Model(config, {name: Tensor(arr, requires_grad=True)
+                           for name, arr in zip(names, params)})
+    m, v = (np.concatenate([arr.ravel() for arr in kind]) for kind in (m, v))
+    return model, AdamState(m=m, v=v, t=header["adam_t"]), header["step"]

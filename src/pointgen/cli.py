@@ -201,6 +201,8 @@ def cmd_eval(args) -> int:
     # loads the moments too: perfbench's eval check perturbs the model by replacing
     # load_checkpoint, so eval moves to load_model with the next benchmark change
     model, _, _ = ckpt.load_checkpoint(args.checkpoint)
+    for p in model.params.values():
+        p.requires_grad = False  # as load_model's: the forward passes record no tape
     dataset = _load_manifest_dataset(args.dataset, args.conditions or "")
     bits = evaluate.dataset_bits_per_coordinate(model, dataset)
     print(f"{bits:.4f}")
@@ -293,7 +295,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CheckpointError, ConfigError, InputError, NonFiniteLossError, ParseError) as exc:
+    except (CheckpointError, ConfigError, InputError, NonFiniteLossError, ParseError,
+            OSError) as exc:
         print(f"pointgen: {exc}", file=sys.stderr)
         return 2
 

@@ -185,20 +185,20 @@ def sample_mesh_surface(mesh: TriangleMesh, m: int, seed: int) -> np.ndarray:
 def load_xyz(path) -> np.ndarray:
     """Read an XYZ text file: one 'x y z' line per point."""
     pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            fields = stripped.split()
-            if len(fields) != 3:
-                raise ParseError(
-                    f"expected 3 fields, got {len(fields)}", path=path, line=lineno
-                )
-            try:
-                pts.append([float(v) for v in fields])
-            except ValueError:
-                raise ParseError(f"bad number in {fields!r}", path=path, line=lineno)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                fields = line.split()
+                if not fields:
+                    continue
+                if len(fields) != 3:
+                    raise ParseError(f"expected 3 fields, got {len(fields)}", path, lineno)
+                try:
+                    pts.append([float(v) for v in fields])
+                except ValueError:
+                    raise ParseError(f"bad number in {fields!r}", path=path, line=lineno)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from exc
     if not pts:
         raise ParseError("file contains no points", path=path, line=0)
     return np.asarray(pts, dtype=np.float64)

@@ -290,11 +290,13 @@ class Model:
         nats = mean_loss.item()
         if not math.isfinite(nats):
             raise NonFiniteLossError(f"loss is {nats}")
-        ad.zero_gradients(self.params)
+        grad = np.zeros_like(state.m)
+        for p, g in zip(self.params.values(), ad.flat_views(grad, self.params)):
+            p.grad = g
         ad.backward(mean_loss)
-        grads = ad.collect_gradients(self.params)
-        ad.adam_step(self.params, grads, state, lr)
-        ad.zero_gradients(self.params)
+        for p in self.params.values():
+            p.grad = None
+        ad.adam_step(self.params, grad, state, lr)
         return nats, nats / LN2
 
     # -- feature extraction ----------------------------------------------------

@@ -15,13 +15,13 @@ def finite_difference_check(loss_fn, params, eps=1e-5, tol=1e-4, floor=1e-6):
     the finite-difference noise level are judged on absolute error.
     Returns the worst relative error seen.
     """
-    ad.zero_gradients(params)
+    for p in params.values():
+        p.grad = None
     ad.backward(loss_fn())
-    grads = ad.collect_gradients(params)
-    ad.zero_gradients(params)
     worst = 0.0
     for name, p in params.items():
-        g = grads[name]
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        p.grad = None
         it = np.nditer(p.data, flags=["multi_index"])
         for _ in it:
             ix = it.multi_index
@@ -37,6 +37,25 @@ def finite_difference_check(loss_fn, params, eps=1e-5, tol=1e-4, floor=1e-6):
                 worst = rel
             assert rel < tol, f"{name}{ix}: analytic {g[ix]}, fd {fd}, rel {rel}"
     return worst
+
+
+def adam_step_per_name(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The Adam loop over per-name gradient and moment dicts that the flat
+    optimizer state replaced; the oracle for autodiff.adam_step.
+
+    Updates `params`, `m` and `v` in place and returns the new step count.
+    """
+    t += 1
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g, mn, vn = grads[name], m[name], v[name]
+        mn *= beta1
+        mn += (1.0 - beta1) * g
+        vn *= beta2
+        vn += (1.0 - beta2) * g * g
+        p.data -= lr * (mn / bc1) / (np.sqrt(vn / bc2) + eps)
+    return t
 
 
 def fd_input_check(fn, x0, eps=1e-5, tol=1e-4, floor=1e-6):

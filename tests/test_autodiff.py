@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pointgen.autodiff as ad
-from helpers import fd_input_check, finite_difference_check
+from helpers import adam_step_per_name, fd_input_check, finite_difference_check
 from pointgen.errors import InputError, ShapeMismatchError
 
 
@@ -239,13 +239,14 @@ def test_max_pool_prefix_gradient_routing_matches_loop_oracle(x):
 
 
 def test_unused_parameter_gets_zero_gradient():
-    used = t(np.ones((1, 3)))
-    unused = t(np.ones((2, 2)))
-    loss = ad.cross_entropy_from_logits(used, [0])
-    ad.backward(loss)
-    grads = ad.collect_gradients({"used": used, "unused": unused})
-    assert np.array_equal(grads["unused"], np.zeros((2, 2)))
-    assert np.any(grads["used"] != 0)
+    # a parameter the loss does not reach keeps a zero slice of the flat gradient
+    params = {"used": t(np.ones((1, 3))), "unused": t(np.ones((2, 2)))}
+    grad = np.zeros(7)
+    for p, view in zip(params.values(), ad.flat_views(grad, params)):
+        p.grad = view
+    ad.backward(ad.cross_entropy_from_logits(params["used"], [0]))
+    assert np.array_equal(grad[3:], np.zeros(4))
+    assert np.array_equal(grad[:3], params["used"].grad[0]) and np.any(grad[:3] != 0)
 
 
 def test_gradient_handed_to_two_parents_is_not_shared():
@@ -298,7 +299,7 @@ def _scalar_param(value):
 def test_adam_zero_gradient_no_change():
     params = _scalar_param(1.5)
     state = ad.AdamState.for_params(params)
-    ad.adam_step(params, {"p": np.zeros((1, 1))}, state, lr=1e-3)
+    ad.adam_step(params, np.zeros(1), state, lr=1e-3)
     assert params["p"].data[0, 0] == 1.5
 
 
@@ -306,7 +307,7 @@ def test_adam_first_step_size():
     # bias-corrected first step moves by ~lr for unit gradient
     params = _scalar_param(0.0)
     state = ad.AdamState.for_params(params)
-    ad.adam_step(params, {"p": np.ones((1, 1))}, state, lr=1e-3)
+    ad.adam_step(params, np.ones(1), state, lr=1e-3)
     assert abs(params["p"].data[0, 0] - (-1e-3)) < 1e-6
 
 
@@ -315,7 +316,7 @@ def test_adam_constant_gradient_is_monotone():
     state = ad.AdamState.for_params(params)
     prev = 0.0
     for _ in range(2):
-        ad.adam_step(params, {"p": np.full((1, 1), 2.0)}, state, lr=1e-2)
+        ad.adam_step(params, np.full(1, 2.0), state, lr=1e-2)
         cur = params["p"].data[0, 0]
         assert cur < prev
         prev = cur
@@ -325,6 +326,47 @@ def test_adam_rejects_bad_shapes_and_lr():
     params = _scalar_param(0.0)
     state = ad.AdamState.for_params(params)
     with pytest.raises(ShapeMismatchError):
-        ad.adam_step(params, {"p": np.zeros((2, 2))}, state, lr=1e-3)
+        ad.adam_step(params, np.zeros(4), state, lr=1e-3)
     with pytest.raises(InputError):
-        ad.adam_step(params, {"p": np.zeros((1, 1))}, state, lr=0.0)
+        ad.adam_step(params, np.zeros(1), state, lr=0.0)
+    assert state.t == 0 and params["p"].data[0, 0] == 0.0
+
+
+# bounded finite values, with +-0.0 and subnormals among them
+_finite = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_flat_adam_matches_the_per_name_oracle(data):
+    shapes = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                                min_size=1, max_size=4))
+    sizes = [r * c for r, c in shapes]
+    steps = data.draw(st.integers(1, 5))
+    start = data.draw(arrays(np.float64, sum(sizes), elements=_finite))
+    grads = data.draw(arrays(np.float64, (steps, sum(sizes)), elements=_finite))
+    lr = data.draw(st.floats(1e-6, 1.0))
+
+    def per_name(flat):
+        pieces = np.split(flat, np.cumsum(sizes)[:-1])
+        return {f"p{i}": x.reshape(s).copy() for i, (x, s) in enumerate(zip(pieces, shapes))}
+
+    params = {k: ad.Tensor(x) for k, x in per_name(start).items()}
+    oracle = {k: ad.Tensor(x) for k, x in per_name(start).items()}
+    state = ad.AdamState.for_params(params)
+    m, v, step = per_name(np.zeros(sum(sizes))), per_name(np.zeros(sum(sizes))), 0
+    for g in grads:
+        # as train_step hands it over: backward adds the gradient into a zeroed vector,
+        # while the old path copied it, so -0.0 arrives here as +0.0
+        flat = np.zeros(sum(sizes))
+        flat += g
+        ad.adam_step(params, flat, state, lr)
+        step = adam_step_per_name(oracle, per_name(g), m, v, step, lr)
+    assert state.t == step == steps
+    for k, p in params.items():
+        assert p.data.tobytes() == oracle[k].data.tobytes(), k
+    for flat, named in ((state.m, m), (state.v, v)):
+        expect = np.concatenate([x.ravel() for x in named.values()])
+        assert np.array_equal(flat, expect)
+        # equal values; also the same sign on every zero entry
+        assert flat.tobytes() == expect.tobytes(), "moments differ in the sign of a zero"

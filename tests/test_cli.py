@@ -194,7 +194,7 @@ def test_resume_with_a_nan_parameter_exits_2_and_keeps_earlier_files(tmp_path, r
     # the step raises before backward or Adam touch the parameters or the moments
     model, state, _ = ckpt.load_checkpoint(bad)
     before = {k: p.data.copy() for k, p in model.params.items()}
-    moments = {k: (state.m[k].copy(), state.v[k].copy()) for k in state.m}
+    moments = (state.m.copy(), state.v.copy())
     batch = [quantize(load_xyz(ds / name), 16) for name in ("a.xyz", "b.xyz")]
     with pytest.raises(NonFiniteLossError):
         model.train_step(state, batch, 0.003)
@@ -202,8 +202,8 @@ def test_resume_with_a_nan_parameter_exits_2_and_keeps_earlier_files(tmp_path, r
     for k, p in model.params.items():
         assert p.grad is None
         assert np.array_equal(p.data, before[k], equal_nan=True)
-        assert np.array_equal(state.m[k], moments[k][0])
-        assert np.array_equal(state.v[k], moments[k][1])
+    assert np.array_equal(state.m, moments[0])
+    assert np.array_equal(state.v, moments[1])
 
 
 def test_resume_with_a_nan_relu_masked_weight_exits_2(tmp_path, raw_dir, capsys):
@@ -235,8 +235,8 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         p.data = rng.normal(size=p.data.shape)
     state = AdamState.for_params(model.params)
     state.t = 17
-    state.m = {k: rng.normal(size=m.shape) for k, m in state.m.items()}
-    state.v = {k: rng.random(size=v.shape) for k, v in state.v.items()}
+    state.m = rng.normal(size=state.m.shape)
+    state.v = rng.random(size=state.v.shape)
     path = tmp_path / "m.pgrw"
     ckpt.save_checkpoint(path, model, state, step=17)
     # files written before the header dropped its unread "rng" field must still load
@@ -253,8 +253,8 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
         assert loaded.config == model.config
         for name, p in model.params.items():
             assert p.data.tobytes() == loaded.params[name].data.tobytes()
-            assert state.m[name].tobytes() == lstate.m[name].tobytes()
-            assert state.v[name].tobytes() == lstate.v[name].tobytes()
+        assert state.m.tobytes() == lstate.m.tobytes()
+        assert state.v.tobytes() == lstate.v.tobytes()
 
 
 def test_corrupt_checkpoint_rejected(tmp_path):
@@ -387,7 +387,7 @@ def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, monkeypatch):
         def write(self, data):
             if self.written > 16 + header_len + 100:
                 raise OSError(errno.ENOSPC, "No space left on device")
-            self.written += len(data)
+            self.written += memoryview(data).nbytes  # payloads are arrays, not bytes
             return self.fh.write(data)
 
     monkeypatch.setattr(ckpt, "open", lambda p, mode: FullDisk(open(p, mode)), raising=False)
@@ -479,6 +479,8 @@ def test_attention_command(tmp_path, raw_dir):
 @pytest.mark.parametrize("case", [
     "eval conditions not numeric", "eval conditions missing", "eval dataset missing",
     "eval dataset not json", "generate checkpoint missing", "generate condition not numeric",
+    "generate out directory missing", "complete prefix missing", "train out under a file",
+    "train checkpoint write fails", "attention input not text",
 ])
 def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
     ds = prepare_dataset(tmp_path, raw_dir)
@@ -491,6 +493,16 @@ def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
     eval_cp = ["eval", "--checkpoint", str(cp)]
     eval_ds = [*eval_cp, "--dataset", str(ds / "manifest.json")]
     generate = ["generate", "--points", "4", "--out", str(tmp_path / "g")]
+    one_hot = ["--class", "0", "--classes", "3"]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    run = tmp_path / "run"
+    (run / "ckpt_final.pgrw").mkdir(parents=True)  # the final checkpoint cannot replace it
+    train_cfg = tmp_path / "train.cfg"
+    write_train_config(train_cfg, ds / "manifest.json",
+                       blocker / "run" if case == "train out under a file" else run, steps=1)
+    binary = tmp_path / "cloud.xyz"
+    binary.write_bytes(b"0 0 0\n\xff\xfe\x00\x80 1 1\n")
     argv, named = {
         "eval conditions not numeric": ([*eval_ds, "--conditions", str(bad_csv)], bad_csv),
         "eval conditions missing": ([*eval_ds, "--conditions", f"{missing}.csv"],
@@ -498,16 +510,44 @@ def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
         "eval dataset missing": ([*eval_cp, "--dataset", f"{missing}.json"], f"{missing}.json"),
         "eval dataset not json": ([*eval_cp, "--dataset", str(not_json)], not_json),
         "generate checkpoint missing": (
-            [*generate, "--checkpoint", f"{missing}.pgrw", "--class", "0", "--classes", "3"],
-            f"{missing}.pgrw"),
+            [*generate, "--checkpoint", f"{missing}.pgrw", *one_hot], f"{missing}.pgrw"),
         "generate condition not numeric": (
             [*generate, "--checkpoint", str(cp), "--condition-file", str(bad_csv)], bad_csv),
+        "generate out directory missing": (
+            ["generate", "--checkpoint", str(cp), "--points", "4", "--out", str(missing / "g"),
+             *one_hot], missing / "g.ply"),
+        "complete prefix missing": (
+            ["complete", "--checkpoint", str(cp), "--prefix", f"{missing}.xyz", "--points", "4",
+             "--out", str(tmp_path / "g"), *one_hot], f"{missing}.xyz"),
+        "train out under a file": (["train", "--config", str(train_cfg)], blocker / "run"),
+        "train checkpoint write fails": (
+            ["train", "--config", str(train_cfg)], run / "ckpt_final.pgrw"),
+        "attention input not text": (
+            ["attention", "--checkpoint", str(cp), "--input", str(binary), "--query", "0",
+             "--branch", "z", "--out", str(tmp_path / "a.csv"), *one_hot], binary),
     }[case]
     capsys.readouterr()
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("pointgen: ") and str(named) in err and "Traceback" not in err
     assert not (tmp_path / "g.ply").exists()
+    assert not (run / "ckpt_final.pgrw.tmp").exists()
+
+
+def test_eval_records_no_tape(tmp_path, raw_dir, monkeypatch, capsys):
+    ds = prepare_dataset(tmp_path, raw_dir)
+    cp = make_checkpoint(tmp_path)
+    seen = []
+    forward = Model.forward
+
+    def spy(self, *args, **kwargs):
+        seen.append(forward(self, *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(Model, "forward", spy)
+    assert cli.main(["eval", "--checkpoint", str(cp), "--dataset", str(ds / "manifest.json")]) == 0
+    assert len(seen) == 3
+    assert all(not t.requires_grad and not t._parents for logits in seen for t in logits.values())
 
 
 def test_conditional_generate_requires_condition(tmp_path, capsys):

@@ -242,6 +242,7 @@ def test_train_step_is_deterministic():
         state = AdamState.for_params(model.params)
         for step in range(5):
             model.train_step(state, batch, lr=1e-3)
+        assert all(p.grad is None for p in model.params.values())
         results.append({k: p.data.copy() for k, p in model.params.items()})
     for k in results[0]:
         assert np.array_equal(results[0][k], results[1][k])
