@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -13,31 +14,10 @@ from . import checkpoint as ckpt
 from . import data as pcd
 from . import evaluate, sampler
 from .autodiff import AdamState
-from .config import RunConfig, parse_config
+from .config import parse_config
 from .data import Dataset
 from .errors import CheckpointError, ConfigError, InputError, NonFiniteLossError, ParseError
-from .model import Model, ModelConfig
-
-
-def _run_config(args) -> RunConfig:
-    cfg = parse_config(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
-    return cfg
-
-
-def _model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        bins=cfg.bins,
-        feature_width=cfg.features,
-        encoder_widths=cfg.encoder,
-        head_widths=cfg.head,
-        context=cfg.context_kind(),
-        condition_dim=cfg.condition_dim,
-        seed=cfg.seed,
-    )
+from .model import Model
 
 
 def _load_manifest_dataset(manifest_path, conditions_path="") -> Dataset:
@@ -93,7 +73,10 @@ def cmd_prepare(args) -> int:
     written = []
     failures = 0
     for index, path in enumerate(args.inputs):
+        name = os.path.splitext(os.path.basename(path))[0] + ".xyz"
         try:
+            if name in written:
+                raise InputError(f"{path}: {name} is already written from another input")
             if path.endswith(".obj"):
                 mesh = pcd.load_obj(path)
                 pts = pcd.sample_mesh_surface(mesh, args.samples, args.seed + index)
@@ -108,7 +91,6 @@ def cmd_prepare(args) -> int:
             pts = pcd.normalize_unit_cube(pts)
             pts = pcd.farthest_point_sampling(pts, args.points)
             quantized = pcd.quantize(pts, args.bins)
-            name = os.path.splitext(os.path.basename(path))[0] + ".xyz"
             pcd.save_xyz(pcd.dequantize(quantized), os.path.join(args.out, name))
             written.append(name)
         except (InputError, ParseError, OSError) as exc:
@@ -133,17 +115,25 @@ def _batch_indices(step: int, batch_size: int, n_clouds: int) -> list[int]:
 
 
 def cmd_train(args) -> int:
-    cfg = _run_config(args)
+    cfg = parse_config(args.config)
+    if args.seed is not None:
+        cfg.model = replace(cfg.model, seed=args.seed)
+    if args.out is not None:
+        cfg.out = args.out
     if not cfg.dataset:
         raise ConfigError("train: config must set 'dataset'")
     dataset = _load_manifest_dataset(cfg.dataset, cfg.conditions)
     if args.checkpoint:
         model, state, start_step = ckpt.load_checkpoint(args.checkpoint)
+        if model.config != cfg.model:
+            raise ConfigError(f"train: {args.checkpoint} holds the model "
+                              f"{model.config.to_dict()}; the run config gives "
+                              f"{cfg.model.to_dict()}")
     else:
-        model = Model(_model_config(cfg))
+        model = Model(cfg.model)
         state = AdamState.for_params(model.params)
         start_step = 0
-    if dataset.bin_count != model.config.bins:
+    if dataset.bin_count != cfg.model.bins:
         raise ConfigError("train: dataset bins differ from model bins")
 
     os.makedirs(cfg.out, exist_ok=True)

@@ -1,7 +1,9 @@
 """Flat "key = value" run configuration files.
 
 '#' starts a comment, blank lines are ignored, and unknown keys are
-rejected so typos fail loudly instead of silently using a default.
+rejected so typos fail loudly instead of silently using a default. The
+seven keys bins, features, encoder, head, context, condition_dim and seed
+form the run's ModelConfig; the rest set training and its files.
 """
 
 from __future__ import annotations
@@ -10,17 +12,12 @@ from dataclasses import dataclass, fields
 
 from .context import ContextOpKind
 from .errors import ConfigError
+from .model import ModelConfig
 
 
 @dataclass
 class RunConfig:
-    bins: int = 200
-    features: int = 128
-    encoder: tuple[int, ...] = (64, 128, 128)
-    head: tuple[int, ...] = (128,)
-    context: str = "saca-a"
-    condition_dim: int = 0
-    seed: int = 0
+    model: ModelConfig = ModelConfig()  # frozen, so one shared default is safe
     lr: float = 1e-3
     batch_size: int = 4
     steps: int = 2000
@@ -30,43 +27,39 @@ class RunConfig:
     out: str = "."
 
     def __post_init__(self):
-        for key in ("bins", "features", "batch_size", "steps",
-                    "checkpoint_interval"):
+        for key in ("lr", "batch_size", "steps", "checkpoint_interval"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if self.condition_dim < 0:
-            raise ConfigError("condition_dim must be >= 0")
-        try:
-            ContextOpKind(self.context)
-        except ValueError:
-            valid = ", ".join(k.value for k in ContextOpKind)
-            raise ConfigError(f"context must be one of: {valid}")
-        if self.encoder[-1] != self.features:
-            raise ConfigError("last encoder width must equal features")
-
-    def context_kind(self) -> ContextOpKind:
-        return ContextOpKind(self.context)
 
 
 def _int_tuple(raw: str) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in raw.split(","))
 
 
-# keyed by annotation string: field types stay strings under future annotations
-_PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "tuple[int, ...]": _int_tuple,
+# file key -> (field of ModelConfig or RunConfig, parser)
+_KEYS = {
+    "bins": ("bins", int),
+    "features": ("feature_width", int),
+    "encoder": ("encoder_widths", _int_tuple),
+    "head": ("head_widths", _int_tuple),
+    "context": ("context", ContextOpKind),
+    "condition_dim": ("condition_dim", int),
+    "seed": ("seed", int),
+    "lr": ("lr", float),
+    "batch_size": ("batch_size", int),
+    "steps": ("steps", int),
+    "checkpoint_interval": ("checkpoint_interval", int),
+    "dataset": ("dataset", str),
+    "conditions": ("conditions", str),
+    "out": ("out", str),
 }
+_MODEL_FIELDS = {f.name for f in fields(ModelConfig)}
 
 
 def parse_config(path) -> RunConfig:
     """Parse a config file, raising ConfigError with key and line number."""
-    spec = {f.name: f.type for f in fields(RunConfig)}
-    values: dict = {}
+    model: dict = {}
+    run: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             body = line.split("#", 1)[0].strip()
@@ -77,13 +70,14 @@ def parse_config(path) -> RunConfig:
             key, _, raw = body.partition("=")
             key = key.strip()
             raw = raw.strip()
-            if key not in spec:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            name, parse = _KEYS[key]
             try:
-                values[key] = _PARSERS[spec[key]](raw)
+                (model if name in _MODEL_FIELDS else run)[name] = parse(raw)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}")
     try:
-        return RunConfig(**values)
+        return RunConfig(model=ModelConfig(**model), **run)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}")

@@ -45,6 +45,8 @@ class ModelConfig:
             raise ConfigError("bins must be >= 2")
         if not self.encoder_widths or self.encoder_widths[-1] != self.feature_width:
             raise ConfigError("last encoder width must equal feature_width")
+        if min(self.encoder_widths + self.head_widths) <= 0:
+            raise ConfigError("every layer width must be positive")
         if self.condition_dim < 0:
             raise ConfigError("condition_dim must be >= 0")
 

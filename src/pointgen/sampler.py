@@ -30,8 +30,8 @@ class SamplerSettings:
     def __post_init__(self):
         if self.n < 1:
             raise InputError("sampler: n must be >= 1")
-        if self.temperature <= 0:
-            raise InputError("sampler: temperature must be positive")
+        if not 0 < self.temperature < np.inf:
+            raise InputError("sampler: temperature must be finite and positive")
         if self.prefix is not None:
             if self.prefix.n > self.n:
                 raise InputError("sampler: prefix longer than target point count")
@@ -49,7 +49,7 @@ def softmax_with_temperature(logits: np.ndarray, temperature: float) -> np.ndarr
 def sample_bin(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF categorical draw consuming one uniform variate."""
     p = np.asarray(probabilities, dtype=np.float64)
-    if abs(p.sum() - 1.0) > 1e-6:
+    if not abs(p.sum() - 1.0) <= 1e-6:  # written so that a NaN sum fails too
         raise InputError(f"sample_bin: probabilities sum to {p.sum()}, not 1")
     u = rng.random()
     idx = int(np.searchsorted(np.cumsum(p), u, side="right"))

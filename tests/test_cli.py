@@ -100,6 +100,19 @@ def test_prepare_from_mesh(tmp_path):
     assert load_xyz(out / "square.xyz").shape == (16, 3)
 
 
+def test_prepare_rejects_a_second_input_of_the_same_stem(tmp_path, raw_dir, capsys):
+    (raw_dir / "b").mkdir()
+    (raw_dir / "b" / "a.xyz").write_bytes((raw_dir / "b.xyz").read_bytes())
+    out = tmp_path / "ds"
+    rc = cli.main(["prepare", str(raw_dir / "a.xyz"), str(raw_dir / "b" / "a.xyz"),
+                   "--points", "32", "--bins", "16", "--out", str(out)])
+    assert rc == 0
+    assert str(raw_dir / "b" / "a.xyz") in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["files"] == ["a.xyz"]
+    alone = prepare_dataset(tmp_path / "alone", raw_dir)
+    assert (out / "a.xyz").read_bytes() == (alone / "a.xyz").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # train / checkpoints
 
@@ -164,6 +177,25 @@ def test_resume_in_place_rewrites_loss_log_from_its_step(tmp_path, raw_dir):
         "train", "--config", str(cfg), "--checkpoint", str(run / "ckpt_000010.pgrw"),
     ]) == 0
     assert (run / "loss.csv").read_bytes() == uninterrupted
+
+
+def test_resume_with_another_model_config_exits_2_and_writes_nothing(tmp_path, raw_dir, capsys):
+    ds = prepare_dataset(tmp_path, raw_dir)
+    cfg = tmp_path / "run.cfg"
+    write_train_config(cfg, ds / "manifest.json", tmp_path / "run", steps=3)
+    assert cli.main(["train", "--config", str(cfg)]) == 0
+    other = tmp_path / "other.cfg"
+    write_train_config(other, ds / "manifest.json", tmp_path / "resumed", steps=3,
+                       extra="context = saca-b\nfeatures = 16\nencoder = 16\n")
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(other),
+                     "--checkpoint", str(tmp_path / "run" / "ckpt_final.pgrw")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pointgen: ") and "Traceback" not in err
+    for named in ("'context': 'ca-mean'", "'feature_width': 8,",
+                  "'context': 'saca-b'", "'feature_width': 16,"):
+        assert named in err
+    assert not (tmp_path / "resumed").exists()
 
 
 def test_resume_with_a_nan_parameter_exits_2_and_keeps_earlier_files(tmp_path, raw_dir, capsys):
@@ -298,6 +330,14 @@ def edit_tensors(edit):
     return lambda h: {**h, "tensors": [edit(t) for t in h["tensors"]]}
 
 
+def swap_offsets(h, a, b):
+    """The header h with the offsets of tensors a and b exchanged."""
+    offset = {t["name"]: t["offset"] for t in h["tensors"]}
+    swap = {a: offset[b], b: offset[a]}
+    return {**h, "tensors": [{**t, "offset": swap.get(t["name"], t["offset"])}
+                             for t in h["tensors"]]}
+
+
 MALFORMED_HEADERS = {
     "missing param": (lambda h: {**h, "tensors": [
         t for t in h["tensors"] if t["name"] != "param:z.enc0.W"]}, "missing tensor param:z.enc0.W"),
@@ -321,14 +361,19 @@ MALFORMED_HEADERS = {
     "negative step": (lambda h: {**h, "step": -1}, "'step'"),
     "empty header": (lambda h: {}, "bad model config"),
     "header not an object": (lambda h: [h], "corrupt header"),
+    "offsets swapped": (lambda h: swap_offsets(h, "param:z.enc0.b", "param:y.enc0.b"),
+                        "param:z.enc0.b is (1, 8) at offset"),
+    "8 trailing bytes": (lambda h: h, "payload is"),
 }
+TRAILING = {"8 trailing bytes": bytes(8)}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
 def test_generate_on_malformed_checkpoint_header_exits_2(tmp_path, capsys, case):
     edit, message = MALFORMED_HEADERS[case]
     bad = tmp_path / "bad.pgrw"
-    bad.write_bytes(with_header(make_checkpoint(tmp_path).read_bytes(), edit))
+    bad.write_bytes(with_header(make_checkpoint(tmp_path).read_bytes(), edit)
+                    + TRAILING.get(case, b""))
     with pytest.raises(CheckpointError, match="bad.pgrw"):
         ckpt.load_checkpoint(bad)
     rc = cli.main(["generate", "--checkpoint", str(bad), "--points", "4",
@@ -480,7 +525,8 @@ def test_attention_command(tmp_path, raw_dir):
     "eval conditions not numeric", "eval conditions missing", "eval dataset missing",
     "eval dataset not json", "generate checkpoint missing", "generate condition not numeric",
     "generate out directory missing", "complete prefix missing", "train out under a file",
-    "train checkpoint write fails", "attention input not text",
+    "train checkpoint write fails", "attention input not text", "generate temperature nan",
+    "generate nan parameter",
 ])
 def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
     ds = prepare_dataset(tmp_path, raw_dir)
@@ -503,6 +549,10 @@ def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
                        blocker / "run" if case == "train out under a file" else run, steps=1)
     binary = tmp_path / "cloud.xyz"
     binary.write_bytes(b"0 0 0\n\xff\xfe\x00\x80 1 1\n")
+    nan_cp = tmp_path / "nan.pgrw"
+    model, state, step = ckpt.load_checkpoint(cp)
+    model.params["z.head1.b"].data[0, 0] = np.nan
+    ckpt.save_checkpoint(nan_cp, model, state, step)
     argv, named = {
         "eval conditions not numeric": ([*eval_ds, "--conditions", str(bad_csv)], bad_csv),
         "eval conditions missing": ([*eval_ds, "--conditions", f"{missing}.csv"],
@@ -525,6 +575,9 @@ def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
         "attention input not text": (
             ["attention", "--checkpoint", str(cp), "--input", str(binary), "--query", "0",
              "--branch", "z", "--out", str(tmp_path / "a.csv"), *one_hot], binary),
+        "generate temperature nan": (
+            [*generate, "--checkpoint", str(cp), "--temperature", "nan", *one_hot], "temperature"),
+        "generate nan parameter": ([*generate, "--checkpoint", str(nan_cp), *one_hot], "sum to nan"),
     }[case]
     capsys.readouterr()
     assert cli.main(argv) == 2
@@ -596,5 +649,12 @@ def test_config_comments_and_defaults(tmp_path):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text("# full-line comment\nbins = 32  # trailing comment\n")
     parsed = parse_config(cfg)
-    assert parsed.bins == 32
-    assert parsed.features == 128  # untouched default
+    assert parsed.model.bins == 32
+    assert parsed.model.feature_width == 128  # untouched default
+
+
+def test_config_zero_widths_name_the_file(tmp_path):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("features = 0\nencoder = 0\n")
+    with pytest.raises(ConfigError, match=r"zero\.cfg: .*must be positive"):
+        parse_config(cfg)

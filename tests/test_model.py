@@ -95,6 +95,11 @@ def test_zero_projection_ignores_condition():
         assert np.array_equal(a[branch].data, b[branch].data)
 
 
+def test_zero_layer_widths_rejected():
+    with pytest.raises(ConfigError, match="every layer width must be positive"):
+        ModelConfig(feature_width=0, encoder_widths=(0,))
+
+
 def test_condition_mismatch_rejected():
     model = Model(small_config(d=0))
     rng = np.random.default_rng(6)

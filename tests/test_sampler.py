@@ -60,6 +60,12 @@ def test_sample_bin_rejects_unnormalized():
         sample_bin(np.full(4, 0.3), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("p", [[np.nan, 0.5, 0.5], [np.nan] * 4])
+def test_sample_bin_rejects_nan(p):
+    with pytest.raises(InputError, match="nan"):
+        sample_bin(np.array(p), np.random.default_rng(0))
+
+
 def test_sample_bin_consumes_one_variate():
     class CountingRng:
         def __init__(self):
