@@ -148,19 +148,6 @@ def dense(x: Tensor, w: Tensor, bias: Tensor, relu: bool) -> Tensor:
     return _make(out_data, (x, w, bias), backward)
 
 
-def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"elementwise_mul: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return _make(a.data * b.data, (a, b), backward)
-
-
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if a.rows != b.rows:
         raise ShapeMismatchError(f"concat_cols: {a.shape} vs {b.shape}")
@@ -252,16 +239,6 @@ def shift_down(x: Tensor) -> Tensor:
             x._accumulate(gx)
 
     return _make(out_data, (x,), backward)
-
-
-def cumsum_rows(x: Tensor) -> Tensor:
-    """Row i is the sum of rows 0..i."""
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(np.cumsum(g[::-1], axis=0)[::-1])
-
-    return _make(np.cumsum(x.data, axis=0), (x,), backward)
 
 
 # ---------------------------------------------------------------------------

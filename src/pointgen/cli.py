@@ -29,6 +29,8 @@ def _load_manifest_dataset(manifest_path, conditions_path="") -> Dataset:
                   for name in manifest["files"]]
     except (OSError, KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{manifest_path}: unreadable or malformed manifest ({exc!r})") from exc
+    if not clouds:
+        raise InputError(f"{manifest_path}: the manifest lists no files")
     conditions = _read_conditions(conditions_path) if conditions_path else None
     return Dataset(clouds=clouds, conditions=conditions)
 

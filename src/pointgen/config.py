@@ -60,23 +60,27 @@ def parse_config(path) -> RunConfig:
     """Parse a config file, raising ConfigError with key and line number."""
     model: dict = {}
     run: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = body.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in _KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            name, parse = _KEYS[key]
-            try:
-                (model if name in _MODEL_FIELDS else run)[name] = parse(raw)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = body.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        name, parse = _KEYS[key]
+        try:
+            (model if name in _MODEL_FIELDS else run)[name] = parse(raw)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}")
     try:
         return RunConfig(model=ModelConfig(**model), **run)
     except ConfigError as exc:

@@ -205,23 +205,21 @@ def load_xyz(path) -> np.ndarray:
 
 
 def save_xyz(points, path) -> None:
-    pts = _as_points(points)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for x, y, z in pts:
-            fh.write(f"{x:.10f} {y:.10f} {z:.10f}\n")
+    _write_points(path, "", _as_points(points))
 
 
 def save_ply(points, path) -> None:
     """Write an ASCII PLY vertex cloud."""
     pts = _as_points(points)
+    header = (f"ply\nformat ascii 1.0\nelement vertex {len(pts)}\n"
+              "property float x\nproperty float y\nproperty float z\nend_header\n")
+    _write_points(path, header, pts)
+
+
+def _write_points(path, header: str, pts: np.ndarray) -> None:
+    """The header, then one 'x y z' line per point."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("ply\n")
-        fh.write("format ascii 1.0\n")
-        fh.write(f"element vertex {len(pts)}\n")
-        fh.write("property float x\n")
-        fh.write("property float y\n")
-        fh.write("property float z\n")
-        fh.write("end_header\n")
+        fh.write(header)
         for x, y, z in pts:
             fh.write(f"{x:.10f} {y:.10f} {z:.10f}\n")
 
@@ -230,28 +228,31 @@ def load_obj(path) -> TriangleMesh:
     """Minimal Wavefront OBJ reader: 'v' and triangular 'f' records only."""
     vertices = []
     triangles = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields or fields[0].startswith("#"):
-                continue
-            if fields[0] == "v":
-                if len(fields) < 4:
-                    raise ParseError("vertex needs 3 coordinates", path=path, line=lineno)
-                try:
-                    vertices.append([float(v) for v in fields[1:4]])
-                except ValueError:
-                    raise ParseError("bad vertex coordinate", path=path, line=lineno)
-            elif fields[0] == "f":
-                if len(fields) != 4:
-                    raise ParseError(
-                        "only triangular faces are supported", path=path, line=lineno
-                    )
-                try:
-                    tri = [int(v.split("/")[0]) - 1 for v in fields[1:4]]
-                except ValueError:
-                    raise ParseError("bad face index", path=path, line=lineno)
-                triangles.append(tri)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                fields = line.split()
+                if not fields or fields[0].startswith("#"):
+                    continue
+                if fields[0] == "v":
+                    if len(fields) < 4:
+                        raise ParseError("vertex needs 3 coordinates", path=path, line=lineno)
+                    try:
+                        vertices.append([float(v) for v in fields[1:4]])
+                    except ValueError:
+                        raise ParseError("bad vertex coordinate", path=path, line=lineno)
+                elif fields[0] == "f":
+                    if len(fields) != 4:
+                        raise ParseError(
+                            "only triangular faces are supported", path=path, line=lineno
+                        )
+                    try:
+                        tri = [int(v.split("/")[0]) - 1 for v in fields[1:4]]
+                    except ValueError:
+                        raise ParseError("bad face index", path=path, line=lineno)
+                    triangles.append(tri)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from exc
     if not vertices or not triangles:
         raise ParseError("OBJ file has no triangles", path=path, line=0)
     return TriangleMesh(np.asarray(vertices), np.asarray(triangles))

@@ -64,9 +64,11 @@ class _BranchCache:
 
     observe() takes each finished point once; context() is then the row
     of the branch's shifted context matrix in `Model.forward` for the next
-    point. ca-mean keeps the running feature sum, ca-max the running max,
-    saca-a the running sum of f_m * w_m, and saca-b the feature rows and
-    their f_m Wf terms, as its weights depend on the querying point's own
+    point. ca-mean keeps the running feature sum and ca-max the running
+    max. Both attention kinds split the first layer as context's op does,
+    W1 = [Wp; Wf], and keep each point's key term f_m Wf + b1; saca-a adds
+    f_m * w_m to a running sum as each point arrives, while saca-b keeps
+    the feature rows, as its weights depend on the querying point's own
     prefix mean. Running sums add rows in np.cumsum's order.
     """
 
@@ -78,9 +80,8 @@ class _BranchCache:
         self.enc, self.head = arrays("enc"), arrays("head")
         self.att = arrays("att") if self.kind.needs_mlp else None
         self.features = np.empty((n, model.config.feature_width))
-        if self.kind is ContextOpKind.SACA_B:
-            # first attention layer split as in context.saca_b: W = [Wp; Wf]
-            self.key_terms = np.empty((n, self.att[0][0].shape[1]))
+        if self.kind.needs_mlp:
+            self.key_terms = np.empty_like(self.features)
         self.count = 0
         self.total = None  # sum of the feature rows
         self.running = None  # ca-max: running max; saca-a: running sum of f_m * w_m
@@ -92,12 +93,18 @@ class _BranchCache:
         self.total = f if self.total is None else self.total + f
         if self.kind is ContextOpKind.CA_MAX:
             self.running = f if self.running is None else np.maximum(self.running, f)
-        elif self.kind is ContextOpKind.SACA_A:
-            w = apply_block(dense_forward, self.att, np.hstack([self.total / self.count, f]),
-                            final_linear=True)
-            self.running = f * w if self.running is None else self.running + f * w
-        elif self.kind is ContextOpKind.SACA_B:
-            self.key_terms[self.count - 1] = f @ self.att[0][0][f.shape[1]:]
+        elif self.kind.needs_mlp:
+            (w1, b1), _ = self.att
+            self.key_terms[self.count - 1] = f @ w1[f.shape[1]:] + b1
+        if self.kind is ContextOpKind.SACA_A:
+            fw = f * self._weights(self.count - 1)
+            self.running = fw if self.running is None else self.running + fw
+
+    def _weights(self, first: int) -> np.ndarray:
+        """Attention weights of key rows first.. under the current prefix mean."""
+        (w1, _), (w2, b2) = self.att
+        pre = (self.total / self.count) @ w1[: w2.shape[0]] + self.key_terms[first : self.count]
+        return dense_forward(np.where(pre > 0.0, pre, 0.0), w2, b2, relu=False)
 
     def context(self) -> np.ndarray:
         if self.count == 0:
@@ -105,12 +112,8 @@ class _BranchCache:
         if self.kind is ContextOpKind.CA_MEAN:
             return self.total / self.count
         if self.kind is ContextOpKind.SACA_B:
-            f = self.features[: self.count]
-            (w1, b1), (w2, b2) = self.att
-            pre = (self.total / self.count) @ w1[: f.shape[1]] + b1 + self.key_terms[: self.count]
-            w = dense_forward(np.where(pre > 0.0, pre, 0.0), w2, b2, relu=False)
             # reduceat, as in context.saca_b: it does not add row by row like np.add.reduce
-            return np.add.reduceat(f * w, [0], axis=0)
+            return np.add.reduceat(self.features[: self.count] * self._weights(0), [0], axis=0)
         return self.running
 
     def logits(self, masked: np.ndarray) -> np.ndarray:
@@ -172,17 +175,10 @@ def condition_lerp(h_a, h_b, t: float) -> np.ndarray:
 
 
 def condition_combine(terms) -> np.ndarray:
-    """Weighted sum of condition vectors: sum(weight * vector)."""
-    terms = list(terms)
-    if not terms:
+    """Weighted sum of condition vectors: sum(weight * vector), added left to right."""
+    scaled = [np.asarray(vec, dtype=np.float64) * float(weight) for weight, vec in terms]
+    if not scaled:
         raise InputError("condition_combine: empty term list")
-    out = None
-    for weight, vec in terms:
-        v = np.asarray(vec, dtype=np.float64) * float(weight)
-        if out is None:
-            out = v
-        elif out.shape != v.shape:
-            raise ShapeMismatchError("condition_combine: mismatched vector dims")
-        else:
-            out = out + v
-    return out
+    if any(v.shape != scaled[0].shape for v in scaled):
+        raise ShapeMismatchError("condition_combine: mismatched vector dims")
+    return sum(scaled[1:], scaled[0])

@@ -4,6 +4,7 @@ import numpy as np
 
 import pointgen.autodiff as ad
 from pointgen.data import QuantizedPointCloud, normalize_unit_cube, quantize
+from pointgen.errors import ShapeMismatchError
 from pointgen.sampler import sample_bin, softmax_with_temperature
 
 
@@ -37,6 +38,53 @@ def finite_difference_check(loss_fn, params, eps=1e-5, tol=1e-4, floor=1e-6):
                 worst = rel
             assert rel < tol, f"{name}{ix}: analytic {g[ix]}, fd {fd}, rel {rel}"
     return worst
+
+
+def elementwise_mul(a, b):
+    """a * b entry by entry, as a tape node."""
+    if a.shape != b.shape:
+        raise ShapeMismatchError(f"elementwise_mul: {a.shape} vs {b.shape}")
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g * b.data)
+        if b.requires_grad:
+            b._accumulate(g * a.data)
+
+    return ad._make(a.data * b.data, (a, b), backward)
+
+
+def cumsum_rows(x):
+    """Row i is the sum of rows 0..i, as a tape node."""
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(np.cumsum(g[::-1], axis=0)[::-1])
+
+    return ad._make(np.cumsum(x.data, axis=0), (x,), backward)
+
+
+def sink(x, g):
+    """sum(x * g) as a 1x1 loss: its backward pass hands x the upstream gradient g."""
+
+    def backward(up):
+        if x.requires_grad:
+            x._accumulate(g * up[0, 0])
+
+    return ad._make([[float(np.sum(x.data * g))]], (x,), backward)
+
+
+def saca_a_chain(features, layers):
+    """saca-a as the chain of seven tape nodes that its fused op replaced:
+    the oracle for context.saca_a.
+
+    w_m = mlp(prefix_mean_m ++ f_m); context_i = sum_{m<=i} f_m * w_m,
+    accumulated as a running sum, then shifted down one row.
+    """
+    weights = ad.concat_cols(ad.mean_pool_prefix(features), features)
+    for k, (w, bias) in enumerate(layers):
+        weights = ad.dense(weights, w, bias, relu=k < len(layers) - 1)
+    return ad.shift_down(cumsum_rows(elementwise_mul(features, weights)))
 
 
 def adam_step_per_name(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -113,6 +113,20 @@ def test_prepare_rejects_a_second_input_of_the_same_stem(tmp_path, raw_dir, caps
     assert (out / "a.xyz").read_bytes() == (alone / "a.xyz").read_bytes()
 
 
+def test_prepare_reports_a_mesh_that_is_not_text_as_a_failed_file(tmp_path, raw_dir, capsys):
+    # a bad input is one failed file, as for .xyz: exit 1 when nothing is written
+    obj = tmp_path / "broken.obj"
+    obj.write_bytes(b"v 0 0 0\n\xff\xfe\n")
+    for inputs, code in (([obj], 1), ([obj, raw_dir / "a.xyz"], 0)):
+        out = tmp_path / f"ds{code}"
+        rc = cli.main(["prepare", *map(str, inputs), "--points", "16", "--bins", "16",
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.startswith(f"prepare: {obj}: not UTF-8 text") and "Traceback" not in err
+        assert json.loads((out / "manifest.json").read_text())["files"] == ["a.xyz"][code:]
+
+
 # ---------------------------------------------------------------------------
 # train / checkpoints
 
@@ -526,7 +540,7 @@ def test_attention_command(tmp_path, raw_dir):
     "eval dataset not json", "generate checkpoint missing", "generate condition not numeric",
     "generate out directory missing", "complete prefix missing", "train out under a file",
     "train checkpoint write fails", "attention input not text", "generate temperature nan",
-    "generate nan parameter",
+    "generate nan parameter", "train config not text", "train manifest lists no files",
 ])
 def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
     ds = prepare_dataset(tmp_path, raw_dir)
@@ -549,6 +563,12 @@ def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
                        blocker / "run" if case == "train out under a file" else run, steps=1)
     binary = tmp_path / "cloud.xyz"
     binary.write_bytes(b"0 0 0\n\xff\xfe\x00\x80 1 1\n")
+    binary_cfg = tmp_path / "binary.cfg"
+    binary_cfg.write_bytes(b"bins = 16\n\xff\n")
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"bins": 16, "files": []}')
+    empty_cfg = tmp_path / "empty.cfg"
+    write_train_config(empty_cfg, empty, tmp_path / "fresh", steps=1)
     nan_cp = tmp_path / "nan.pgrw"
     model, state, step = ckpt.load_checkpoint(cp)
     model.params["z.head1.b"].data[0, 0] = np.nan
@@ -578,6 +598,8 @@ def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
         "generate temperature nan": (
             [*generate, "--checkpoint", str(cp), "--temperature", "nan", *one_hot], "temperature"),
         "generate nan parameter": ([*generate, "--checkpoint", str(nan_cp), *one_hot], "sum to nan"),
+        "train config not text": (["train", "--config", str(binary_cfg)], binary_cfg),
+        "train manifest lists no files": (["train", "--config", str(empty_cfg)], empty),
     }[case]
     capsys.readouterr()
     assert cli.main(argv) == 2
@@ -585,6 +607,7 @@ def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
     assert err.startswith("pointgen: ") and str(named) in err and "Traceback" not in err
     assert not (tmp_path / "g.ply").exists()
     assert not (run / "ckpt_final.pgrw.tmp").exists()
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_eval_records_no_tape(tmp_path, raw_dir, monkeypatch, capsys):

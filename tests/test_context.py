@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pointgen.autodiff as ad
 import pointgen.context as context
-from helpers import finite_difference_check
+from helpers import finite_difference_check, saca_a_chain, sink
 from pointgen.context import (
     ContextOpKind,
     apply_context,
@@ -337,3 +339,53 @@ def test_saca_b_peak_memory_is_below_half_a_pair_matrix():
         tracemalloc.stop()
     assert features.grad is not None and np.isfinite(features.grad).all()
     assert peak < pair_matrix / 2
+
+
+# ---------------------------------------------------------------------------
+# saca-a's fused op against the chain of tape nodes it replaced
+
+
+def plain_layers(params):
+    return [(params["w0"], params["w1"]), (params["w2"], params["w3"])]
+
+
+def test_saca_a_records_one_node_between_pooling_and_shift():
+    rng = np.random.default_rng(14)
+    features = t(rng.normal(size=(4, 3)), grad=True)
+    layers, tensors = ad_layers(random_mlp(rng, 3))
+    (op,) = saca_a(features, layers)._parents
+    assert op._parents == (features, op._parents[1], *tensors)
+    assert op._parents[1]._parents == (features,)  # the prefix mean
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_saca_a_matches_the_old_chain(n, f, conditioned, seed):
+    rng = np.random.default_rng(seed)
+    params, h, _ = conditioned_params(rng, f)
+    feat0 = rng.normal(size=(n, f))
+    upstream = rng.normal(size=(n, f))
+
+    def run(op):
+        for p in params.values():
+            p.grad = None
+        features = t(feat0, grad=True)
+        layers = conditioned_layers(params, h) if conditioned else plain_layers(params)
+        out = op(features, layers)
+        ad.backward(sink(out, upstream))
+        grads = {name: p.grad for name, p in params.items()}
+        return out.data, features.grad, grads
+
+    out, d_features, grads = run(saca_a)
+    want_out, want_features, want_grads = run(saca_a_chain)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    assert close(out, want_out)
+    assert close(d_features, want_features)
+    for name, want in want_grads.items():
+        if want is None:  # the plain layers leave H0 and H1 off the tape
+            assert not conditioned and name.startswith("H") and grads[name] is None
+        else:
+            assert close(grads[name], want), name
