@@ -6,9 +6,10 @@ a per-evaluation tape; backward() topologically sorts the tape and
 accumulates gradients into .grad. All arithmetic is 64-bit and
 deterministic: identical inputs produce bit-identical outputs.
 
-Training points each parameter's .grad at its slice of one zeroed flat
-gradient vector, so backward() adds straight into it; adam_step() reads
-it beside AdamState's flat moments, all three in parameter order.
+Training points each parameter's .grad at its slice of a zeroed flat
+gradient vector, one per cloud, so backward() adds straight into it;
+adam_step() reads the clouds' sum beside AdamState's flat moments, all
+three in parameter order.
 """
 
 from __future__ import annotations

@@ -43,6 +43,8 @@ def _read_conditions(path) -> np.ndarray:
         raise InputError(f"{path}: unreadable condition CSV ({exc})") from exc
     if rows.size == 0:
         raise InputError(f"{path}: no condition vectors")
+    if not np.isfinite(rows).all():
+        raise InputError(f"{path}: condition vectors must be finite")
     return rows
 
 
@@ -137,6 +139,13 @@ def cmd_train(args) -> int:
         start_step = 0
     if dataset.bin_count != cfg.model.bins:
         raise ConfigError("train: dataset bins differ from model bins")
+    d = cfg.model.condition_dim
+    if (dataset.conditions is None) != (d == 0):
+        raise ConfigError(f"{args.config}: condition_dim = {d} "
+                          + ("needs 'conditions'" if d else "takes no 'conditions'"))
+    if d and dataset.conditions.shape[1] != d:
+        raise ConfigError(f"{cfg.conditions}: condition vectors of width "
+                          f"{dataset.conditions.shape[1]}, but condition_dim = {d}")
 
     os.makedirs(cfg.out, exist_ok=True)
     loss_path = os.path.join(cfg.out, "loss.csv")

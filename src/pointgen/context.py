@@ -34,7 +34,7 @@ LayerTensors = tuple[Tensor, Tensor]  # W and bias row (b, or b + h @ H) of one 
 
 # Pair elements (pairs x feature width) that one block of saca-b query rows may
 # hold: bounds the op's working memory whatever the cloud size.
-SACA_B_BLOCK = 2**19
+SACA_B_BLOCK = 2**16
 
 
 def saca_a(features: Tensor, layers: list[LayerTensors]) -> Tensor:

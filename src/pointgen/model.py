@@ -14,6 +14,9 @@ cloud, before it is broadcast over the rows (`autodiff.dense`).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -101,6 +104,28 @@ class ModelConfig:
         d["encoder_widths"] = tuple(d["encoder_widths"])
         d["head_widths"] = tuple(d["head_widths"])
         return cls(**d)
+
+
+# Points times parameters of a batch's mean cloud below which a training step
+# runs on one thread. Threads take turns at the GIL between numpy calls, so a
+# second one pays only where those calls are long; smaller clouds gained little
+# or nothing, and lost more than a serial step when another process took a CPU.
+THREADED_WORK = 2**24
+
+
+def _workers(batch: list[QuantizedPointCloud], parameters: int) -> int:
+    """Threads for a training step: as many BLAS thread pools as the usable
+    CPUs hold, at most one per cloud, at least one, and one below
+    THREADED_WORK. BLAS's default is one thread per CPU, so an unpinned BLAS
+    gets one worker."""
+    if sum(q.n for q in batch) * parameters < THREADED_WORK * len(batch):
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()) or 1
+    values = (os.environ.get(v, "").strip()
+              for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    blas_threads = next((int(v) for v in values if v.isdecimal() and int(v) > 0), cpus)
+    return max(1, min(len(batch), cpus // blas_threads))
 
 
 @dataclass
@@ -268,10 +293,14 @@ class Model:
     ) -> tuple[float, float]:
         """One Adam step on the batch-mean loss.
 
-        Returns (mean nats per coordinate, mean bits per coordinate).
+        Each cloud runs its forward and backward pass as its own task, on
+        `_workers` threads, into its own gradient vector; the vectors are
+        summed in cloud order, so the result does not depend on the number
+        of threads. Returns (mean nats per coordinate, mean bits per coordinate).
         Raises NonFiniteLossError, with parameters and Adam state untouched,
         when a parameter (checked before the forward pass) or the loss is NaN
-        or infinite.
+        or infinite; a cloud's error re-raises, the first in cloud order, with
+        them untouched too.
         """
         if not batch:
             raise InputError("train_step: empty batch")
@@ -283,23 +312,54 @@ class Model:
             finite = np.isfinite(p.data)
             if not finite.all():
                 raise NonFiniteLossError(f"parameter {name} holds {p.data[~finite][0]}")
-        total = None
-        for j, q in enumerate(batch):
-            cond = conditions[j] if conditions is not None else None
-            result = self.cloud_nll(q, cond)
-            total = result.loss if total is None else ad.add(total, result.loss)
-        mean_loss = ad.scale(total, 1.0 / len(batch))
-        nats = mean_loss.item()
+        grads = np.zeros((len(batch),) + state.m.shape)
+        conds = conditions if conditions is not None else [None] * len(batch)
+        losses: list = [None] * len(batch)  # a loss, or the error that stopped a worker
+        workers = _workers(batch, state.m.size)
+
+        def run(first: int) -> None:
+            """Clouds first, first + workers, ... in order, until one raises."""
+            for j in range(first, len(batch), workers):
+                try:
+                    losses[j] = self._cloud_gradient(batch[j], conds[j], grads[j],
+                                                     1.0 / len(batch))
+                except Exception as exc:  # raised below, once every worker is done
+                    losses[j] = exc
+                    return
+
+        # The calling thread is worker 0, so its heap serves a share of the tapes;
+        # each further thread keeps a heap of its own. No thread outlives the step.
+        with ThreadPoolExecutor(workers - 1) if workers > 1 else nullcontext() as pool:
+            futures = [pool.submit(run, k) for k in range(1, workers)]
+            run(0)
+        for future in futures:
+            future.result()  # raises what run does not catch
+        for loss in losses:  # the first error in cloud order
+            if isinstance(loss, Exception):
+                raise loss
+        nats, grad = losses[0], grads[0]
+        for loss, other in zip(losses[1:], grads[1:]):  # in cloud order, whatever the workers
+            nats += loss
+            grad += other
+        nats *= 1.0 / len(batch)
         if not math.isfinite(nats):
             raise NonFiniteLossError(f"loss is {nats}")
-        grad = np.zeros_like(state.m)
-        for p, g in zip(self.params.values(), ad.flat_views(grad, self.params)):
-            p.grad = g
-        ad.backward(mean_loss)
-        for p in self.params.values():
-            p.grad = None
         ad.adam_step(self.params, grad, state, lr)
         return nats, nats / LN2
+
+    def _cloud_gradient(self, q: QuantizedPointCloud, condition, grad: np.ndarray,
+                        weight: float) -> float:
+        """Add weight * d loss / d parameters of one cloud into the flat vector
+        `grad`, when the loss is finite, and return the loss. The tape runs on
+        proxies that share the parameters' memory, so clouds can run on
+        concurrent threads; each tape is freed when its cloud is done."""
+        proxies = {name: Tensor(p.data, requires_grad=True) for name, p in self.params.items()}
+        for proxy, view in zip(proxies.values(), ad.flat_views(grad, proxies)):
+            proxy.grad = view
+        loss = Model(self.config, proxies).cloud_nll(q, condition).loss
+        if math.isfinite(loss.item()):
+            ad.backward(ad.scale(loss, weight))
+        return loss.item()
 
     # -- feature extraction ----------------------------------------------------
 

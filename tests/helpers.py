@@ -170,3 +170,24 @@ def naive_generate(model, settings):
             probs = softmax_with_temperature(logits.data[i], settings.temperature)
             bins[i, column] = sample_bin(probs, rng)
     return QuantizedPointCloud(bins, cfg.bins)
+
+
+def train_step_single_tape(model, state, batch, lr, conditions=None):
+    """The training step that per-cloud gradients replaced: one tape for the
+    whole batch, the clouds' losses added on it, and each parameter's .grad
+    pointed at its slice of one flat gradient vector; the oracle for
+    Model.train_step. Returns the batch-mean nats per coordinate."""
+    total = None
+    for j, q in enumerate(batch):
+        cond = conditions[j] if conditions is not None else None
+        loss = model.cloud_nll(q, cond).loss
+        total = loss if total is None else ad.add(total, loss)
+    mean_loss = ad.scale(total, 1.0 / len(batch))
+    grad = np.zeros_like(state.m)
+    for p, g in zip(model.params.values(), ad.flat_views(grad, model.params)):
+        p.grad = g
+    ad.backward(mean_loss)
+    for p in model.params.values():
+        p.grad = None
+    ad.adam_step(model.params, grad, state, lr)
+    return mean_loss.item()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pointgen.model as model_module
 from pointgen import checkpoint as ckpt
 from pointgen import cli
 from pointgen.autodiff import AdamState
@@ -164,6 +165,27 @@ def test_resume_matches_uninterrupted_run(tmp_path, raw_dir):
     assert step_full == step_half == 40
     for name, p in full.params.items():
         assert np.array_equal(p.data, half.params[name].data), name
+
+
+def test_train_writes_the_same_bytes_on_one_worker_and_on_three(tmp_path, raw_dir, monkeypatch):
+    ds = prepare_dataset(tmp_path, raw_dir, points=12)
+    saca_b = "context = saca-b\nbatch_size = 3\ncheckpoint_interval = 1\n"  # later keys win
+    names = ["loss.csv", "ckpt_000001.pgrw", "ckpt_000002.pgrw", "ckpt_000003.pgrw",
+             "ckpt_final.pgrw"]
+    runs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(model_module, "_workers", lambda batch, parameters, k=workers: k)
+        cfg = tmp_path / f"w{workers}.cfg"
+        write_train_config(cfg, ds / "manifest.json", tmp_path / f"w{workers}", steps=3,
+                           extra=saca_b)
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        runs.append([(tmp_path / f"w{workers}" / name).read_bytes() for name in names])
+    assert runs[0] == runs[1]
+    resume = tmp_path / "resume.cfg"
+    write_train_config(resume, ds / "manifest.json", tmp_path / "resumed", steps=1, extra=saca_b)
+    assert cli.main(["train", "--config", str(resume),
+                     "--checkpoint", str(tmp_path / "w3" / "ckpt_000002.pgrw")]) == 0
+    assert (tmp_path / "resumed" / "ckpt_000003.pgrw").read_bytes() == runs[0][3]
 
 
 def test_fresh_train_starts_a_new_loss_log(tmp_path, raw_dir):
@@ -541,6 +563,8 @@ def test_attention_command(tmp_path, raw_dir):
     "generate out directory missing", "complete prefix missing", "train out under a file",
     "train checkpoint write fails", "attention input not text", "generate temperature nan",
     "generate nan parameter", "train config not text", "train manifest lists no files",
+    "train condition width differs", "train conditions missing", "train conditions unexpected",
+    "train conditions nan", "eval conditions nan", "generate condition nan",
 ])
 def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
     ds = prepare_dataset(tmp_path, raw_dir)
@@ -569,6 +593,17 @@ def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
     empty.write_text('{"bins": 16, "files": []}')
     empty_cfg = tmp_path / "empty.cfg"
     write_train_config(empty_cfg, empty, tmp_path / "fresh", steps=1)
+    one_hots = tmp_path / "one_hots.csv"
+    one_hots.write_text("1,0,0\n0,1,0\n0,0,1\n")
+    not_finite = tmp_path / "not_finite.csv"
+    not_finite.write_text("1,0,0\n0,nan,0\n0,0,inf\n")
+    cond_cfg = tmp_path / "cond.cfg"
+    write_train_config(cond_cfg, ds / "manifest.json", tmp_path / "fresh", steps=1, extra={
+        "train condition width differs": f"condition_dim = 2\nconditions = {one_hots}\n",
+        "train conditions missing": "condition_dim = 3\n",
+        "train conditions unexpected": f"conditions = {one_hots}\n",
+        "train conditions nan": f"condition_dim = 3\nconditions = {not_finite}\n",
+    }.get(case, ""))
     nan_cp = tmp_path / "nan.pgrw"
     model, state, step = ckpt.load_checkpoint(cp)
     model.params["z.head1.b"].data[0, 0] = np.nan
@@ -600,6 +635,13 @@ def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
         "generate nan parameter": ([*generate, "--checkpoint", str(nan_cp), *one_hot], "sum to nan"),
         "train config not text": (["train", "--config", str(binary_cfg)], binary_cfg),
         "train manifest lists no files": (["train", "--config", str(empty_cfg)], empty),
+        "train condition width differs": (["train", "--config", str(cond_cfg)], one_hots),
+        "train conditions missing": (["train", "--config", str(cond_cfg)], cond_cfg),
+        "train conditions unexpected": (["train", "--config", str(cond_cfg)], cond_cfg),
+        "train conditions nan": (["train", "--config", str(cond_cfg)], not_finite),
+        "eval conditions nan": ([*eval_ds, "--conditions", str(not_finite)], not_finite),
+        "generate condition nan": (
+            [*generate, "--checkpoint", str(cp), "--condition-file", str(not_finite)], not_finite),
     }[case]
     capsys.readouterr()
     assert cli.main(argv) == 2

@@ -1,10 +1,21 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pointgen.autodiff as ad
-from helpers import finite_difference_check, random_cloud, randomize_params
+import pointgen.model as model_module
+from helpers import (
+    finite_difference_check,
+    random_cloud,
+    randomize_params,
+    train_step_single_tape,
+)
 from pointgen.autodiff import AdamState
 from pointgen.context import ContextOpKind
 from pointgen.data import QuantizedPointCloud, quantize
@@ -214,17 +225,22 @@ def test_train_step_descends_for_most_seeds():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_train_step_stops_on_a_non_finite_loss_of_finite_parameters():
+@pytest.mark.parametrize("batch", [1, 3])
+def test_train_step_stops_on_a_non_finite_loss_of_finite_parameters(monkeypatch, batch):
     # logits of +-1e308 overflow in the softmax: every parameter is finite, the loss is not
+    monkeypatch.setattr(model_module, "_workers", lambda batch, parameters: len(batch))
     model = Model(small_config())
     state = AdamState.for_params(model.params)
     bias = model.params["z.head1.b"].data  # the logits, as the last head W is zero
     bias[0] = -1e308
     bias[0, 0] = 1e308
+    before = {k: p.data.copy() for k, p in model.params.items()}
     q = QuantizedPointCloud(np.ones((4, 3), dtype=np.int64), 16)
     with pytest.raises(NonFiniteLossError, match="loss is inf"):
-        model.train_step(state, [q], lr=1e-3)
+        model.train_step(state, [q] * batch, lr=1e-3)
     assert state.t == 0 and all(p.grad is None for p in model.params.values())
+    assert not state.m.any() and not state.v.any()
+    assert all(np.array_equal(p.data, before[k]) for k, p in model.params.items())
 
 
 def test_train_step_rejects_mixed_bins():
@@ -251,6 +267,105 @@ def test_train_step_is_deterministic():
         results.append({k: p.data.copy() for k, p in model.params.items()})
     for k in results[0]:
         assert np.array_equal(results[0][k], results[1][k])
+
+
+@pytest.mark.parametrize("env, workers", [
+    ({}, (1, 1)), ({"OMP_NUM_THREADS": "1"}, (3, 4)), ({"OPENBLAS_NUM_THREADS": "2"}, (2, 2)),
+    ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1"}, (3, 4)),
+    ({"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, (1, 1)),
+])
+def test_workers_are_the_cpus_over_the_blas_threads(monkeypatch, env, workers):
+    # one per cloud at most, and an unset or unusable count is BLAS's default: one per CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    q = QuantizedPointCloud(np.zeros((2, 3), dtype=np.int64), 16)
+    work = model_module.THREADED_WORK // 2  # points x parameters of one cloud: just enough
+    assert (model_module._workers([q] * 3, work), model_module._workers([q] * 8, work)) == workers
+
+
+def test_a_batch_of_small_clouds_runs_on_one_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    small, large = (QuantizedPointCloud(np.zeros((n, 3), dtype=np.int64), 16) for n in (1, 3))
+    work = model_module.THREADED_WORK // 2
+    assert model_module._workers([small] * 4, work) == 1
+    assert model_module._workers([small, large] * 2, work) == 4  # the mean cloud decides
+    assert model_module._workers([small, small, small, large], work) == 1
+
+
+def _copy(model):
+    params = {k: ad.Tensor(p.data.copy(), requires_grad=True) for k, p in model.params.items()}
+    return Model(model.config, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(ContextOpKind)), st.sampled_from([0, 2]),
+       st.lists(st.integers(1, 12), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_train_step_matches_the_single_tape_oracle(kind, d, sizes, seed):
+    rng = np.random.default_rng(seed)
+    batch = [random_cloud(rng, n, 16) for n in sizes]
+    conditions = rng.normal(size=(len(sizes), d)) if d else None
+    start = Model(small_config(kind, d=d))
+    randomize_params(start, rng)
+    oracle = _copy(start)
+    oracle_state = AdamState.for_params(oracle.params)
+    oracle_nats = train_step_single_tape(oracle, oracle_state, batch, 1e-3, conditions)
+    runs = []
+    for workers in (1, 2, 3):
+        model = _copy(start)
+        state = AdamState.for_params(model.params)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model_module, "_workers", lambda batch, parameters, k=workers: k)
+            nats, _ = model.train_step(state, batch, 1e-3, conditions)
+        assert nats == oracle_nats
+        # the per-cloud gradients add in another order than the one tape's
+        assert np.abs(state.m - oracle_state.m).max() <= 1e-13 * np.abs(oracle_state.m).max()
+        runs.append(np.concatenate([*(p.data.ravel() for p in model.params.values()),
+                                    state.m, state.v]))
+    assert all(np.array_equal(runs[0], run) for run in runs[1:])
+
+
+def test_train_step_raises_a_worker_error_in_cloud_order_and_changes_nothing(monkeypatch):
+    monkeypatch.setattr(model_module, "_workers", lambda batch, parameters: 3)
+    rng = np.random.default_rng(15)
+    model = Model(small_config(d=2))
+    state = AdamState.for_params(model.params)
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    empty = QuantizedPointCloud(np.zeros((0, 3), dtype=np.int64), 16)  # InputError
+    batch = [random_cloud(rng, 5, 16), random_cloud(rng, 5, 16), empty]
+    threads = threading.active_count()
+    with pytest.raises(ConfigError, match="condition dim 3"):
+        model.train_step(state, batch, 1e-3, [np.ones(2), np.ones(3), np.ones(2)])
+    assert threading.active_count() == threads
+    assert state.t == 0 and not state.m.any() and not state.v.any()
+    assert all(np.array_equal(p.data, before[k]) for k, p in model.params.items())
+    assert all(p.grad is None for p in model.params.values())
+
+
+def test_train_step_on_more_threads_than_cpus_matches_one_thread(monkeypatch):
+    # frequent thread switches would expose a lost update to a shared gradient or loss
+    rng = np.random.default_rng(16)
+    batch = [random_cloud(rng, 5, 16) for _ in range(6)]
+    start = Model(small_config(ContextOpKind.SACA_B))
+    runs = []
+    for workers in (1, 6):
+        monkeypatch.setattr(model_module, "_workers", lambda batch, parameters, k=workers: k)
+        model = _copy(start)
+        state = AdamState.for_params(model.params)
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(2):
+                model.train_step(state, batch, 1e-3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads and state.t == 2
+        runs.append(np.concatenate([*(p.data.ravel() for p in model.params.values()),
+                                    state.m, state.v]))
+    assert np.array_equal(runs[0], runs[1])
 
 
 # ---------------------------------------------------------------------------
