@@ -307,8 +307,8 @@ def adam_step(
 ) -> None:
     """In-place Adam update with bias correction from a flat gradient. It runs
     per parameter: whole-vector temporaries would each be as large as the model."""
-    if lr <= 0:
-        raise InputError("adam_step: lr must be positive")
+    if not 0 < lr < np.inf:
+        raise InputError("adam_step: lr must be finite and positive")
     if grad.shape != state.m.shape:
         raise ShapeMismatchError(f"adam_step: gradient {grad.shape}, moments {state.m.shape}")
     state.t += 1

@@ -17,7 +17,7 @@ from .autodiff import AdamState
 from .config import parse_config
 from .data import Dataset
 from .errors import CheckpointError, ConfigError, InputError, NonFiniteLossError, ParseError
-from .model import Model
+from .model import BRANCHES, Model
 
 
 def _load_manifest_dataset(manifest_path, conditions_path="") -> Dataset:
@@ -73,6 +73,10 @@ def _condition_from_args(args, model: Model):
 
 
 def cmd_prepare(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("prepare: --seed must be >= 0")
+    if args.samples < 1:
+        raise ConfigError("prepare: --samples must be >= 1")
     os.makedirs(args.out, exist_ok=True)
     written = []
     failures = 0
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help=".xyz cloud, coordinates in [0,1]")
     p.add_argument("--query", type=int, required=True, help="0-based query point index")
-    p.add_argument("--branch", choices=["z", "y", "x"], required=True)
+    p.add_argument("--branch", choices=BRANCHES, required=True)
     p.add_argument("--out", required=True, help="output CSV path")
     _add_condition_flags(p)
     p.set_defaults(func=cmd_attention)
@@ -293,7 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error (2) or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except (CheckpointError, ConfigError, InputError, NonFiniteLossError, ParseError,

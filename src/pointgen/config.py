@@ -8,6 +8,7 @@ form the run's ModelConfig; the rest set training and its files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .context import ContextOpKind
@@ -27,7 +28,9 @@ class RunConfig:
     out: str = "."
 
     def __post_init__(self):
-        for key in ("lr", "batch_size", "steps", "checkpoint_interval"):
+        if not 0 < self.lr < math.inf:
+            raise ConfigError("lr must be finite and positive")
+        for key in ("batch_size", "steps", "checkpoint_interval"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
 

@@ -32,5 +32,5 @@ class CheckpointError(ValueError):
 
 
 class NonFiniteLossError(ValueError):
-    """A training step met a NaN or infinite parameter or loss; no state was
-    updated."""
+    """A training step met a NaN or infinite parameter, loss or gradient; no
+    state was updated."""

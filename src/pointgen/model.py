@@ -28,6 +28,11 @@ from .data import QuantizedPointCloud, dequantize
 from .errors import ConfigError, InputError, NonFiniteLossError
 
 BRANCHES = ("z", "y", "x")
+# The column of (x, y, z) that each branch scores, and the 0/1 mask of what it
+# sees of its own point: the coordinates scored before its own, so z sees none,
+# y sees z_i and x sees y_i and z_i.
+COLUMN = {"z": 2, "y": 1, "x": 0}
+VISIBLE = {branch: (np.arange(3) > column).astype(np.float64) for branch, column in COLUMN.items()}
 LN2 = math.log(2.0)
 
 
@@ -52,6 +57,8 @@ class ModelConfig:
             raise ConfigError("every layer width must be positive")
         if self.condition_dim < 0:
             raise ConfigError("condition_dim must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     # layer dimension tables, one (fan_in, fan_out) pair per layer
     def encoder_dims(self) -> list[tuple[int, int]]:
@@ -155,24 +162,6 @@ def init_parameters(config: ModelConfig) -> dict[str, Tensor]:
     return params
 
 
-def build_branch_inputs(q: QuantizedPointCloud) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Context-path and masked current-point inputs per branch.
-
-    Context-path rows carry the full dequantized point (the shift makes
-    them causal). Masked rows zero the coordinates of point i that the
-    branch must not see: z-branch sees nothing, y-branch sees z_i,
-    x-branch sees (y_i, z_i). Column order is (x, y, z).
-    """
-    coords = dequantize(q)
-    masked_z = np.zeros_like(coords)
-    masked_y = np.zeros_like(coords)
-    masked_y[:, 2] = coords[:, 2]
-    masked_x = np.zeros_like(coords)
-    masked_x[:, 1] = coords[:, 1]
-    masked_x[:, 2] = coords[:, 2]
-    return {"z": (coords, masked_z), "y": (coords, masked_y), "x": (coords, masked_x)}
-
-
 def apply_block(layer, layers: list, x, final_linear: bool, collect: list | None = None):
     """Run x through one block's (W, bias row) layers with `layer`: `ad.dense`
     on tensors, or `ad.dense_forward` on the plain arrays of the sampler.
@@ -240,18 +229,17 @@ class Model:
         if q.bin_count != self.config.bins:
             raise InputError(f"cloud bins {q.bin_count} != model bins {self.config.bins}")
         h = self._condition_tensor(condition)
-        inputs = build_branch_inputs(q)
+        coords = dequantize(q)
         mlp_needed = self.config.context.needs_mlp
         out = {}
         for branch in BRANCHES:
-            ctx_rows, masked_rows = inputs[branch]
             encoder = self._layers(branch, "enc", h)
             acts: list[Tensor] = []
-            features = apply_block(ad.dense, encoder, ad.constant(ctx_rows), final_linear=False,
+            features = apply_block(ad.dense, encoder, ad.constant(coords), final_linear=False,
                                    collect=acts)
             layers = self._layers(branch, "att", h) if mlp_needed else None
             context = apply_context(self.config.context, features, layers)
-            masked_feat = apply_block(ad.dense, encoder, ad.constant(masked_rows),
+            masked_feat = apply_block(ad.dense, encoder, ad.constant(coords * VISIBLE[branch]),
                                       final_linear=False)
             logits = apply_block(ad.dense, self._layers(branch, "head", h),
                                  ad.concat_cols(context, masked_feat), final_linear=True)
@@ -266,11 +254,7 @@ class Model:
 
     def nll_loss(self, logits: dict[str, Tensor], q: QuantizedPointCloud) -> NllResult:
         """Mean nats per coordinate, total nats, and bits per coordinate."""
-        ce = [
-            ad.cross_entropy_from_logits(logits["z"], q.bins[:, 2]),
-            ad.cross_entropy_from_logits(logits["y"], q.bins[:, 1]),
-            ad.cross_entropy_from_logits(logits["x"], q.bins[:, 0]),
-        ]
+        ce = [ad.cross_entropy_from_logits(logits[b], q.bins[:, COLUMN[b]]) for b in BRANCHES]
         loss = ad.scale(ad.add(ad.add(ce[0], ce[1]), ce[2]), 1.0 / 3.0)
         mean_nats = loss.item()
         return NllResult(
@@ -298,9 +282,9 @@ class Model:
         summed in cloud order, so the result does not depend on the number
         of threads. Returns (mean nats per coordinate, mean bits per coordinate).
         Raises NonFiniteLossError, with parameters and Adam state untouched,
-        when a parameter (checked before the forward pass) or the loss is NaN
-        or infinite; a cloud's error re-raises, the first in cloud order, with
-        them untouched too.
+        when a parameter (checked before the forward pass), the loss or the
+        summed gradient is NaN or infinite; a cloud's error re-raises, the
+        first in cloud order, with them untouched too.
         """
         if not batch:
             raise InputError("train_step: empty batch")
@@ -344,6 +328,10 @@ class Model:
         nats *= 1.0 / len(batch)
         if not math.isfinite(nats):
             raise NonFiniteLossError(f"loss is {nats}")
+        if not np.isfinite(grad).all():  # a finite loss can still overflow its gradient
+            name = next(name for name, g in zip(self.params, ad.flat_views(grad, self.params))
+                        if not np.isfinite(g).all())
+            raise NonFiniteLossError(f"gradient of {name} is not finite")
         ad.adam_step(self.params, grad, state, lr)
         return nats, nats / LN2
 

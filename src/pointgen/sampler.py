@@ -14,9 +14,9 @@ import numpy as np
 
 from .autodiff import Tensor, dense_forward
 from .context import ContextOpKind
-from .data import QuantizedPointCloud, dequantize
+from .data import QuantizedPointCloud
 from .errors import InputError, ShapeMismatchError
-from .model import BRANCHES, Model, apply_block, build_branch_inputs
+from .model import BRANCHES, COLUMN, VISIBLE, Model, apply_block
 
 
 @dataclass
@@ -30,6 +30,8 @@ class SamplerSettings:
     def __post_init__(self):
         if self.n < 1:
             raise InputError("sampler: n must be >= 1")
+        if self.seed < 0:
+            raise InputError("sampler: seed must be >= 0")
         if not 0 < self.temperature < np.inf:
             raise InputError("sampler: temperature must be finite and positive")
         if self.prefix is not None:
@@ -54,9 +56,6 @@ def sample_bin(probabilities: np.ndarray, rng: np.random.Generator) -> int:
     u = rng.random()
     idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
     return min(idx, len(p) - 1)
-
-
-_BRANCH_COLUMN = {"z": 2, "y": 1, "x": 0}
 
 
 class _BranchCache:
@@ -142,17 +141,17 @@ def generate(model: Model, settings: SamplerSettings) -> QuantizedPointCloud:
     caches = {branch: _BranchCache(model, branch, h, settings.n) for branch in BRANCHES}
     start = prefix.n if prefix is not None else 0
     bins = np.zeros((settings.n, 3), dtype=np.int64)
+    centres = (np.arange(cfg.bins) + 0.5) / cfg.bins  # the bin centres, as dequantize gives them
     if start:
         bins[:start] = prefix.bins
     for i in range(settings.n):
         if i >= start:
             for branch in BRANCHES:
-                point = QuantizedPointCloud(bins[i : i + 1], cfg.bins)
-                logits = caches[branch].logits(build_branch_inputs(point)[branch][1])
+                logits = caches[branch].logits(centres[bins[i : i + 1]] * VISIBLE[branch])
                 probs = softmax_with_temperature(logits, settings.temperature)
-                bins[i, _BRANCH_COLUMN[branch]] = sample_bin(probs, rng)
+                bins[i, COLUMN[branch]] = sample_bin(probs, rng)
         if i + 1 < settings.n:
-            point = dequantize(QuantizedPointCloud(bins[i : i + 1], cfg.bins))
+            point = centres[bins[i : i + 1]]
             for cache in caches.values():
                 cache.observe(point)
     return QuantizedPointCloud(bins, cfg.bins)

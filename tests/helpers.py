@@ -123,6 +123,17 @@ def randomize_params(model, rng, scale=0.4):
         p.data = rng.normal(0.0, scale, p.data.shape)
 
 
+def overflow_gradient(model):
+    """Huge first and last layers around a tiny middle one, in every branch of
+    a one-layer encoder and a two-layer head: the loss stays finite, about
+    1e101 nats, while the products of the head's first-layer gradient overflow."""
+    for branch in ("z", "y", "x"):
+        model.params[f"{branch}.enc0.W"].data[:] = 1e200
+        model.params[f"{branch}.head0.W"].data[:] = 1e-300
+        w = model.params[f"{branch}.head1.W"].data
+        w[:] = np.linspace(-1e200, 1e200, w.size).reshape(w.shape)
+
+
 def sphere_cloud(rng, n=64):
     v = rng.normal(size=(n, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pointgen.model as model_module
+from helpers import overflow_gradient
 from pointgen import checkpoint as ckpt
 from pointgen import cli
 from pointgen.autodiff import AdamState
@@ -394,6 +395,8 @@ MALFORMED_HEADERS = {
     "missing config field": (lambda h: {**h, "config": without(h["config"], "bins")},
                              "bad model config"),
     "missing adam_t": (lambda h: without(h, "adam_t"), "'adam_t'"),
+    "negative seed": (lambda h: {**h, "config": {**h["config"], "seed": -1}},
+                      "seed must be >= 0"),
     "negative step": (lambda h: {**h, "step": -1}, "'step'"),
     "empty header": (lambda h: {}, "bad model config"),
     "header not an object": (lambda h: [h], "corrupt header"),
@@ -444,6 +447,65 @@ def test_every_truncation_of_a_checkpoint_raises_checkpoint_error(cut):
         for load in (ckpt.load_checkpoint, ckpt.load_model):
             with pytest.raises(CheckpointError):
                 load(path)
+
+
+# Numeric inputs drawn from edge strings: each command returns 0, 1 (prepare's
+# "every input failed") or 2, and raises nothing.
+EDGE_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "1e309", "-1", "0", "1", "2", "1.5", ""])
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A dataset of three 6-point clouds at 8 bins, a 4-wide checkpoint and a mesh."""
+    root = tmp_path_factory.mktemp("tiny")
+    rng = np.random.default_rng(0)
+    for name in "abc":
+        save_xyz(rng.random((12, 3)), root / f"{name}.xyz")
+    assert cli.main(["prepare", *[str(root / f"{n}.xyz") for n in "abc"], "--points", "6",
+                     "--bins", "8", "--out", str(root / "ds")]) == 0
+    model = Model(ModelConfig(bins=8, feature_width=4, encoder_widths=(4,), head_widths=(4,),
+                              context=ContextOpKind.CA_MEAN))
+    ckpt.save_checkpoint(root / "model.pgrw", model, AdamState.for_params(model.params), step=0)
+    (root / "square.obj").write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3\nf 1 3 4\n")
+    return root
+
+
+@settings(max_examples=60, deadline=None)
+@given(edges=st.dictionaries(st.sampled_from(["lr", "seed", "batch_size", "steps",
+                                              "checkpoint_interval"]), EDGE_NUMBERS,
+                             max_size=2))
+def test_numeric_run_config_values_exit_0_or_2(tiny, edges):
+    values = {"lr": "0.003", "seed": "0", "batch_size": "2", "steps": "2",
+              "checkpoint_interval": "1", **edges}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write("bins = 8\nfeatures = 4\nencoder = 4\nhead = 4\ncontext = ca-mean\n"
+                     f"dataset = {tiny / 'ds' / 'manifest.json'}\nout = {tmp}/run\n"
+                     + "".join(f"{key} = {value}\n" for key, value in values.items()))
+        code = cli.main(["train", "--config", cfg])
+        assert code in (0, 2)
+        if code == 0:
+            names = sorted(os.listdir(os.path.join(tmp, "run")))
+            assert "ckpt_final.pgrw" in names
+            for name in names:
+                if name.endswith(".pgrw"):
+                    model = ckpt.load_model(os.path.join(tmp, "run", name))
+                    assert all(np.isfinite(p.data).all() for p in model.params.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["generate", "prepare"]), seed=EDGE_NUMBERS,
+       samples=EDGE_NUMBERS)
+def test_numeric_flags_exit_0_1_or_2(tiny, command, seed, samples):
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "generate":
+            argv = ["generate", "--checkpoint", str(tiny / "model.pgrw"), "--points", "3",
+                    f"--seed={seed}", "--out", f"{tmp}/g"]
+        else:
+            argv = ["prepare", str(tiny / "square.obj"), "--points", "1", "--bins", "8",
+                    f"--seed={seed}", f"--samples={samples}", "--out", f"{tmp}/ds"]
+        assert cli.main(argv) in ((0, 2) if command == "generate" else (0, 1, 2))
 
 
 def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path, monkeypatch):
@@ -557,6 +619,7 @@ def test_attention_command(tmp_path, raw_dir):
     assert len(lines) == 33
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("case", [
     "eval conditions not numeric", "eval conditions missing", "eval dataset missing",
     "eval dataset not json", "generate checkpoint missing", "generate condition not numeric",
@@ -564,7 +627,10 @@ def test_attention_command(tmp_path, raw_dir):
     "train checkpoint write fails", "attention input not text", "generate temperature nan",
     "generate nan parameter", "train config not text", "train manifest lists no files",
     "train condition width differs", "train conditions missing", "train conditions unexpected",
-    "train conditions nan", "eval conditions nan", "generate condition nan",
+    "train conditions nan", "eval conditions nan", "generate condition nan", "train lr nan",
+    "train lr inf", "train seed negative", "train config seed negative", "generate seed negative",
+    "complete seed negative", "prepare seed negative", "prepare samples negative",
+    "train gradient not finite",
 ])
 def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
     ds = prepare_dataset(tmp_path, raw_dir)
@@ -603,7 +669,17 @@ def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
         "train conditions missing": "condition_dim = 3\n",
         "train conditions unexpected": f"conditions = {one_hots}\n",
         "train conditions nan": f"condition_dim = 3\nconditions = {not_finite}\n",
+        "train lr nan": "lr = nan\n",
+        "train lr inf": "lr = inf\n",
+        "train config seed negative": "seed = -3\n",
     }.get(case, ""))
+    square = tmp_path / "square.obj"
+    square.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3\nf 1 3 4\n")
+    prepare = ["prepare", str(square), "--points", "4", "--out", str(tmp_path / "fresh")]
+    overflow_cp = tmp_path / "overflow.pgrw"
+    model, state, step = ckpt.load_checkpoint(make_checkpoint(tmp_path))
+    overflow_gradient(model)
+    ckpt.save_checkpoint(overflow_cp, model, state, step)
     nan_cp = tmp_path / "nan.pgrw"
     model, state, step = ckpt.load_checkpoint(cp)
     model.params["z.head1.b"].data[0, 0] = np.nan
@@ -642,6 +718,20 @@ def test_bad_outside_input_exits_2(tmp_path, raw_dir, capsys, case):
         "eval conditions nan": ([*eval_ds, "--conditions", str(not_finite)], not_finite),
         "generate condition nan": (
             [*generate, "--checkpoint", str(cp), "--condition-file", str(not_finite)], not_finite),
+        "train lr nan": (["train", "--config", str(cond_cfg)], "lr must be finite"),
+        "train lr inf": (["train", "--config", str(cond_cfg)], "lr must be finite"),
+        "train seed negative": (["train", "--config", str(cond_cfg), "--seed", "-2"], "seed"),
+        "train config seed negative": (["train", "--config", str(cond_cfg)], cond_cfg),
+        "generate seed negative": ([*generate, "--checkpoint", str(cp), "--seed", "-1", *one_hot],
+                                   "seed"),
+        "complete seed negative": (
+            ["complete", "--checkpoint", str(cp), "--prefix", str(ds / "a.xyz"), "--points", "40",
+             "--seed", "-1", "--out", str(tmp_path / "g"), *one_hot], "seed"),
+        "prepare seed negative": ([*prepare, "--seed", "-4"], "--seed"),
+        "prepare samples negative": ([*prepare, "--samples", "-4"], "--samples"),
+        "train gradient not finite": (
+            ["train", "--config", str(train_cfg), "--checkpoint", str(overflow_cp)],
+            "train: step 1: gradient of"),
     }[case]
     capsys.readouterr()
     assert cli.main(argv) == 2

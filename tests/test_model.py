@@ -12,15 +12,16 @@ import pointgen.autodiff as ad
 import pointgen.model as model_module
 from helpers import (
     finite_difference_check,
+    overflow_gradient,
     random_cloud,
     randomize_params,
     train_step_single_tape,
 )
 from pointgen.autodiff import AdamState
 from pointgen.context import ContextOpKind
-from pointgen.data import QuantizedPointCloud, quantize
+from pointgen.data import QuantizedPointCloud, dequantize, quantize
 from pointgen.errors import ConfigError, InputError, NonFiniteLossError
-from pointgen.model import Model, ModelConfig, build_branch_inputs
+from pointgen.model import BRANCHES, COLUMN, VISIBLE, Model, ModelConfig
 
 
 def small_config(kind=ContextOpKind.SACA_A, bins=16, d=0, seed=3):
@@ -34,33 +35,42 @@ def small_config(kind=ContextOpKind.SACA_A, bins=16, d=0, seed=3):
 # branch inputs
 
 
+def _row_moves(q, point, columns, i):
+    """Per branch, whether row i of a randomized model's logits changes when
+    the given columns of `point` move to another bin."""
+    model = Model(small_config(ContextOpKind.CA_MEAN))
+    randomize_params(model, np.random.default_rng(13))
+    bins = q.bins.copy()
+    bins[point, columns] = (bins[point, columns] + 5) % 16
+    base, moved = model.forward(q), model.forward(QuantizedPointCloud(bins, 16))
+    return {b: not np.array_equal(moved[b].data[i], base[b].data[i]) for b in BRANCHES}
+
+
 def test_masked_z_branch_sees_nothing():
-    rng = np.random.default_rng(0)
-    q = random_cloud(rng, 6, 200)
-    inputs = build_branch_inputs(q)
-    assert np.array_equal(inputs["z"][1], np.zeros((6, 3)))
+    q = random_cloud(np.random.default_rng(0), 6, 16)
+    assert not _row_moves(q, 4, [0, 1, 2], 4)["z"]
+    assert np.array_equal(VISIBLE["z"], [0.0, 0.0, 0.0]) and COLUMN["z"] == 2
 
 
 def test_masked_x_branch_row():
+    q = random_cloud(np.random.default_rng(1), 6, 16)
+    assert not _row_moves(q, 4, [0], 4)["x"]
+    assert _row_moves(q, 4, [1], 4)["x"] and _row_moves(q, 4, [2], 4)["x"]
     q = QuantizedPointCloud(np.array([[10, 20, 30]]), 200)
-    inputs = build_branch_inputs(q)
-    assert np.allclose(inputs["x"][1][0], [0.0, 0.1025, 0.1525])
+    assert np.allclose(dequantize(q)[0] * VISIBLE["x"], [0.0, 0.1025, 0.1525])
 
 
 def test_masked_y_branch_exposes_only_z():
-    rng = np.random.default_rng(1)
-    q = random_cloud(rng, 5, 200)
-    masked = build_branch_inputs(q)["y"][1]
-    assert np.all(masked[:, 0] == 0) and np.all(masked[:, 1] == 0)
-    assert np.all(masked[:, 2] > 0)
+    q = random_cloud(np.random.default_rng(2), 6, 16)
+    assert not _row_moves(q, 4, [0, 1], 4)["y"]
+    assert _row_moves(q, 4, [2], 4)["y"]
+    assert np.array_equal(VISIBLE["y"], [0.0, 0.0, 1.0]) and COLUMN["y"] == 1
 
 
 def test_context_path_carries_full_points():
-    rng = np.random.default_rng(2)
-    q = random_cloud(rng, 5, 200)
-    for branch in ("z", "y", "x"):
-        ctx = build_branch_inputs(q)[branch][0]
-        assert np.allclose(ctx, (q.bins + 0.5) / 200)
+    q = random_cloud(np.random.default_rng(3), 6, 16)
+    for column in range(3):
+        assert all(_row_moves(q, 2, [column], 4).values())
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +250,23 @@ def test_train_step_stops_on_a_non_finite_loss_of_finite_parameters(monkeypatch,
         model.train_step(state, [q] * batch, lr=1e-3)
     assert state.t == 0 and all(p.grad is None for p in model.params.values())
     assert not state.m.any() and not state.v.any()
+    assert all(np.array_equal(p.data, before[k]) for k, p in model.params.items())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_train_step_stops_on_a_non_finite_gradient_of_a_finite_loss():
+    model = Model(ModelConfig(bins=8, feature_width=8, encoder_widths=(8,), head_widths=(8,),
+                              context=ContextOpKind.CA_MEAN))
+    state = AdamState.for_params(model.params)
+    q = random_cloud(np.random.default_rng(15), 6, 8)
+    model.train_step(state, [q, q], lr=1e-3)
+    overflow_gradient(model)
+    assert 1e100 < model.cloud_nll(q).total_nats < math.inf
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    m, v = state.m.copy(), state.v.copy()
+    with pytest.raises(NonFiniteLossError, match="gradient of z.head0.W is not finite"):
+        model.train_step(state, [q, q], lr=1e-3)
+    assert state.t == 1 and np.array_equal(state.m, m) and np.array_equal(state.v, v)
     assert all(np.array_equal(p.data, before[k]) for k, p in model.params.items())
 
 
